@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: gen, check, decompose, verify, tables, spectrum, xval, bench.
-All file formats are JSON. Exit codes: 0 success/verified, 1 usage,
-2 inadmissible, 3 attempted-but-failed verification, 4 non-convergence.
+All file formats are JSON. Exit codes: 0 success/verified, 1 usage or
+malformed input, 2 inadmissible, 3 attempted-but-failed verification,
+4 non-convergence.
 """
 
 from __future__ import annotations
@@ -82,8 +83,9 @@ def cmd_check(args) -> int:
 
 def _weights_json(decomp: solver.FractionalDecomposition,
                   include_zero: bool) -> str:
+    # json writes the vertex tuples as lists
     records = [
-        {"clique": [list(v) for v in K], "weight": float(w)}
+        {"clique": K, "weight": w}
         for K, w in decomp.items()
         if include_zero or w != 0.0
     ]
@@ -95,10 +97,13 @@ def cmd_decompose(args) -> int:
     eta = Fraction(args.eta) if args.eta else None
     try:
         decomp, rep = solver.decompose(
-            g, tol=args.tol, max_iter=args.max_iter, eta=eta, force=args.force)
+            g, tol=args.tol, max_iter=args.max_iter, eta=eta)
     except solver.NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except (solver.NegativeWeight, solver.VerificationFailed) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except solver.SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
@@ -111,30 +116,47 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if rep.max_edge_sum_error < VERIFY_TOL else EXIT_VERIFY_FAILED
 
 
+def _read_weights(records, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, s, 2) integer clique array and (K,) weights of a weights file.
+
+    Raises GraphError unless every record is {"clique": [[part, index], ...
+    s vertices], "weight": number}.
+    """
+    if not isinstance(records, list):
+        raise GraphError("weights file must hold a list of records")
+    if not records:
+        return np.zeros((0, s, 2), dtype=np.int64), np.zeros(0)
+    try:
+        cliques = np.array([rec["clique"] for rec in records])
+        weights = np.array([rec["weight"] for rec in records])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed weights record: {exc!r}") from exc
+    if cliques.shape[1:] != (s, 2) or cliques.dtype.kind != "i":
+        raise GraphError(
+            f"every clique must be {s} [part, index] integer pairs")
+    if weights.ndim != 1 or weights.dtype.kind not in "if":
+        raise GraphError("every weight must be a number")
+    return cliques, weights.astype(float)
+
+
 def cmd_verify(args) -> int:
     with open(args.input) as fh:
         g = MultipartiteGraph.from_json(fh.read())
     with open(args.weights) as fh:
-        records = json.load(fh)
-    ed = g.indexing
-    cover = np.zeros(ed.num_graph_edges)
-    from itertools import combinations
-    for rec in records:
-        K = [tuple(v) for v in rec["clique"]]
-        for u, v in combinations(K, 2):
-            if not g.has_edge(u, v):
-                print(f"clique {K} uses missing edge {u},{v}", file=sys.stderr)
-                return EXIT_VERIFY_FAILED
-            cover[ed.index((u, v) if u[0] < v[0] else (v, u))] += rec["weight"]
-    err = np.abs(cover - 1.0)
-    worst = int(err.argmax())
+        cliques, weights = _read_weights(json.load(fh), g.structure.s)
+    try:
+        err, worst = solver.verify_cliques(
+            g, [(cliques[:, :, 0], cliques[:, :, 1], weights)])
+    except solver.VerificationFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     result = {
-        "max_edge_sum_error": float(err.max()),
-        "worst_edge": [list(v) for v in ed.edge(worst)],
+        "max_edge_sum_error": err,
+        "worst_edge": [list(v) for v in worst] if worst else None,
         "tolerance": VERIFY_TOL,
     }
     _write(args.output, json.dumps(result, indent=2))
-    return EXIT_OK if err.max() < VERIFY_TOL else EXIT_VERIFY_FAILED
+    return EXIT_OK if err < VERIFY_TOL else EXIT_VERIFY_FAILED
 
 
 def cmd_tables(args) -> int:
@@ -271,10 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--max-iter", type=int, default=200)
     sp.add_argument("--eta", default=None)
-    sp.add_argument("--force", action="store_true",
-                    help="attempt beyond the certified threshold")
     sp.add_argument("--include-zero-weights", action="store_true")
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("verify", help="recheck a weights file against a graph")

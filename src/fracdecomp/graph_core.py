@@ -64,6 +64,11 @@ class PartiteStructure:
         """|E(Gamma)| = C(r,2) n^2."""
         return binom(self.r, 2) * self.n * self.n
 
+    def check_vertex(self, v: Vertex):
+        p, i = v
+        if not (0 <= p < self.r and 0 <= i < self.n):
+            raise GraphError(f"vertex {v} out of range")
+
     def part_pairs(self) -> list[tuple[int, int]]:
         return list(combinations(range(self.r), 2))
 
@@ -203,8 +208,8 @@ class MultipartiteGraph:
             k = edge_key(u, w)
             if k in new_missing:
                 raise GraphError(f"edge already missing: {k}")
-            self._check_vertex(u)
-            self._check_vertex(w)
+            self.structure.check_vertex(u)
+            self.structure.check_vertex(w)
             new_missing.add(k)
         return MultipartiteGraph(self.structure, new_missing)
 
@@ -225,11 +230,6 @@ class MultipartiteGraph:
         return self.delete_edges(
             edge_key(u, w) for u, w in combinations(transversal, 2))
 
-    def _check_vertex(self, v: Vertex):
-        p, i = v
-        if not (0 <= p < self.structure.r and 0 <= i < self.structure.n):
-            raise GraphError(f"vertex {v} out of range")
-
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:
@@ -244,21 +244,42 @@ class MultipartiteGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "MultipartiteGraph":
+        """Parse the graph JSON format; GraphError on any malformed record.
+
+        Shape, integer types and vertex ranges are checked before anything
+        is built from the record.
+        """
         rec = json.loads(text)
+        if not isinstance(rec, dict):
+            raise GraphError("graph JSON must be an object")
+        absent = [k for k in ("r", "s", "n", "missing_edges") if k not in rec]
+        if absent:
+            raise GraphError(f"graph JSON lacks {absent}")
+        for k in ("r", "s", "n"):
+            if not _is_int(rec[k]):
+                raise GraphError(f"{k} must be an integer, got {rec[k]!r}")
         structure = PartiteStructure(r=rec["r"], s=rec["s"], n=rec["n"])
+        if not isinstance(rec["missing_edges"], list):
+            raise GraphError("missing_edges must be a list")
         seen = set()
-        for p1, i1, p2, i2 in rec["missing_edges"]:
+        for e in rec["missing_edges"]:
+            if not (isinstance(e, list) and len(e) == 4 and all(map(_is_int, e))):
+                raise GraphError(
+                    f"missing edge must be four integers [p1, i1, p2, i2], got {e!r}")
+            p1, i1, p2, i2 = e
             if p1 >= p2:
-                raise GraphError(f"missing edge parts not ordered: {[p1, i1, p2, i2]}")
+                raise GraphError(f"missing edge parts not ordered: {e}")
             k = ((p1, i1), (p2, i2))
+            for v in k:
+                structure.check_vertex(v)
             if k in seen:
-                raise GraphError(f"duplicate missing edge: {[p1, i1, p2, i2]}")
+                raise GraphError(f"duplicate missing edge: {e}")
             seen.add(k)
-        g = cls(structure, seen)
-        for u, w in seen:
-            g._check_vertex(u)
-            g._check_vertex(w)
-        return g
+        return cls(structure, seen)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def make_complete(r: int, s: int, n: int) -> MultipartiteGraph:

@@ -7,7 +7,7 @@ and dense linear solves. Dense work is guarded by an edge-count cap.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -101,25 +101,33 @@ def _gram(num_rows: int, incidence: np.ndarray) -> np.ndarray:
     return np.rint(W @ W.T).astype(np.int64)
 
 
+def brute_cliques(graph: MultipartiteGraph):
+    """Every K_s copy of G by exhaustive search, in lexicographic order.
+
+    Tries each choice of s parts and one vertex in each, and keeps the
+    choices whose vertex pairs are all edges of G.
+    """
+    st = graph.structure
+    for parts in combinations(range(st.r), st.s):
+        for idx in product(range(st.n), repeat=st.s):
+            K = tuple(zip(parts, idx))
+            if all(graph.has_edge(u, w) for u, w in combinations(K, 2)):
+                yield K
+
+
 def brute_mgamma(r: int, s: int, n: int, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     """Dense clique-pair matrix of the complete host, by clique enumeration."""
-    from .solver import enumerate_cliques
-
     host = make_complete(r, s, n)
     m = host.structure.num_edges
     _check_cap(m, cap)
-    cl = enumerate_cliques(host)
-    return _gram(m, cl.incidence)
+    return _gram(m, _clique_edge_rows(host, list(brute_cliques(host))))
 
 
 def brute_mg(graph: MultipartiteGraph, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     """Dense clique-pair matrix of G, indexed by E(G) (the first block)."""
-    from .solver import enumerate_cliques
-
     ng = graph.indexing.num_graph_edges
     _check_cap(graph.structure.num_edges, cap)
-    cl = enumerate_cliques(graph)
-    return _gram(ng, cl.incidence)
+    return _gram(ng, _clique_edge_rows(graph, list(brute_cliques(graph))))
 
 
 def dense_delta(graph: MultipartiteGraph, eta=None,

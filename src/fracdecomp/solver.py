@@ -1,8 +1,10 @@
 """End-to-end fractional clique decomposition pipeline.
 
-Enumerates the K_s copies of G, applies the defect operator matrix-free,
+Enumerates the K_s copies of G as integer index arrays, one block per part
+subset, applies the defect operator through the host cliques that G lost,
 runs the contractive fixed-point iteration for the block system, extracts
-per-clique weights, and verifies the decomposition edge by edge.
+per-clique weights, and verifies the decomposition edge by edge with the
+block verifier that the CLI shares.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from itertools import combinations
 import numpy as np
 
 from .graph_core import (
+    EdgeKey,
     GraphError,
     MultipartiteGraph,
-    binom,
     check_admissible,
     threshold_c,
 )
@@ -28,8 +30,6 @@ from .spectral import (
     apply_mgamma_inverse,
     eta_star,
 )
-
-Clique = tuple  # s vertices (part, idx), sorted by part
 
 
 class SolveError(GraphError):
@@ -44,87 +44,160 @@ class NegativeWeight(SolveError):
     pass
 
 
+class VerificationFailed(SolveError):
+    pass
+
+
 @dataclass
 class CliqueList:
-    """All K_s copies of G plus their per-edge incidence (G-first edge indices)."""
+    """The K_s copies of G, block by block, plus the host cliques G lost.
 
-    cliques: list[Clique]
-    incidence: np.ndarray  # shape (len(cliques), C(s,2))
+    `blocks` holds one (parts, index) pair per part subset that has cliques,
+    in lexicographic order of the subsets; row k of `index` is the clique
+    with vertex (parts[j], index[k, j]) in column j, rows in lexicographic
+    order. `incidence` lists the C(s,2) G-first edge indices of every clique,
+    rows in block order. `broken` is the same for the host cliques that
+    contain at least one missing edge, each exactly once: the defect
+    operator needs only those.
+    """
+
+    blocks: list[tuple[tuple[int, ...], np.ndarray]]
+    incidence: np.ndarray  # shape (len(self), C(s,2))
+    broken: np.ndarray  # shape (|B|, C(s,2))
 
     def __len__(self):
-        return len(self.cliques)
+        return self.incidence.shape[0]
+
+
+def _edge_columns(graph: MultipartiteGraph, parts, index: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """G-first indices of the C(s,2) edges of each clique of one block."""
+    ed = graph.indexing
+    n = graph.structure.n
+    pair_pos = {pp: t for t, pp in enumerate(graph.structure.part_pairs())}
+    pairs = list(combinations(range(len(parts)), 2))
+    if out is None:
+        out = np.empty((index.shape[0], len(pairs)), dtype=np.int64)
+    for t, (a, b) in enumerate(pairs):
+        out[:, t] = ed.pos[pair_pos[(parts[a], parts[b])] * n * n
+                           + index[:, a] * n + index[:, b]]
+    return out
+
+
+def _missing_by_pair(graph: MultipartiteGraph) -> dict:
+    """Per part pair (p1, p2), the (i1, i2) index arrays of its missing edges."""
+    grouped: dict = {}
+    for (p1, i1), (p2, i2) in graph.missing:
+        grouped.setdefault((p1, p2), []).append((i1, i2))
+    return {pp: np.asarray(sorted(v), dtype=np.int64).T for pp, v in grouped.items()}
+
+
+def _block_cliques(n: int, parts, allowed: dict) -> np.ndarray:
+    """Cliques of G on one part subset: join parts one at a time with adjacency masks."""
+    partial = np.arange(n, dtype=np.int64).reshape(n, 1)
+    for t in range(1, len(parts)):
+        ok = np.ones((partial.shape[0], n), dtype=bool)
+        for j in range(t):
+            ok &= allowed[(parts[j], parts[t])][partial[:, j], :]
+        who, nxt = np.nonzero(ok)
+        partial = np.concatenate([partial[who], nxt.reshape(-1, 1)], axis=1)
+    return partial
+
+
+def _block_broken(n: int, parts, missing: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Host cliques on one part subset through a missing edge, with duplicates.
+
+    Each missing edge in the column pair t = (a, b) is extended by every choice
+    of the other s-2 vertices. Returns the cliques and, per row, the t that
+    generated it; a clique with several missing edges appears once per edge.
+    """
+    s = len(parts)
+    free = np.indices((n,) * (s - 2)).reshape(s - 2, -1).T
+    rows, gen = [], []
+    for t, (a, b) in enumerate(combinations(range(s), 2)):
+        if (parts[a], parts[b]) not in missing:
+            continue
+        i1, i2 = missing[(parts[a], parts[b])]
+        block = np.empty((i1.size, free.shape[0], s), dtype=np.int64)
+        block[:, :, a] = i1[:, None]
+        block[:, :, b] = i2[:, None]
+        block[:, :, [c for c in range(s) if c not in (a, b)]] = free[None]
+        rows.append(block.reshape(-1, s))
+        gen.append(np.full(rows[-1].shape[0], t))
+    if not rows:
+        return np.zeros((0, s), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(rows), np.concatenate(gen)
 
 
 def enumerate_cliques(graph: MultipartiteGraph) -> CliqueList:
-    """Backtracking over part subsets of size s, one vertex per part.
+    """The K_s copies of G and the broken host cliques, block by block.
 
-    Joins parts one at a time with vectorized adjacency masks; complete and
-    duplicate-free by construction.
+    Complete and duplicate-free by construction. A broken clique is kept
+    only from its first missing edge in column order, so it appears once
+    however many missing edges it contains.
     """
     st = graph.structure
     r, s, n = st.r, st.s, st.n
+    ng = graph.indexing.num_graph_edges
+    missing = _missing_by_pair(graph)
     allowed = {}
-    for p1, p2 in st.part_pairs():
+    for pp in st.part_pairs():
         mask = np.ones((n, n), dtype=bool)
-        for (a, i1), (b, i2) in graph.missing:
-            if (a, b) == (p1, p2):
-                mask[i1, i2] = False
-        allowed[(p1, p2)] = mask
+        if pp in missing:
+            mask[missing[pp][0], missing[pp][1]] = False
+        allowed[pp] = mask
 
-    cliques: list[Clique] = []
-    rows = []
-    ed = graph.indexing
-    pair_pos = {pp: t for t, pp in enumerate(st.part_pairs())}
+    width = s * (s - 1) // 2
+    blocks, broken = [], [np.zeros((0, width), dtype=np.int64)]
     for parts in combinations(range(r), s):
-        partial = np.arange(n, dtype=np.int64).reshape(n, 1)
-        for t in range(1, s):
-            ok = np.ones((partial.shape[0], n), dtype=bool)
-            for j in range(t):
-                ok &= allowed[(parts[j], parts[t])][partial[:, j], :]
-            who, nxt = np.nonzero(ok)
-            partial = np.concatenate(
-                [partial[who], nxt.reshape(-1, 1)], axis=1)
-            if partial.shape[0] == 0:
-                break
-        if partial.shape[0] == 0:
-            continue
-        # base lex edge indices, then the G-first permutation
-        idx_cols = []
-        for a, b in combinations(range(s), 2):
-            base = (pair_pos[(parts[a], parts[b])] * n * n
-                    + partial[:, a] * n + partial[:, b])
-            idx_cols.append(ed.pos[base])
-        rows.append(np.stack(idx_cols, axis=1))
-        cliques.extend(
-            tuple((parts[j], int(row[j])) for j in range(s)) for row in partial)
+        index = _block_cliques(n, parts, allowed)
+        if index.shape[0]:
+            blocks.append((parts, index))
+        lost, gen = _block_broken(n, parts, missing)
+        if lost.shape[0]:
+            ids = _edge_columns(graph, parts, lost)
+            broken.append(ids[np.argmax(ids >= ng, axis=1) == gen])
 
-    if not rows:
-        return CliqueList(cliques=[], incidence=np.zeros((0, binom(s, 2)), dtype=np.int64))
-    return CliqueList(cliques=cliques, incidence=np.concatenate(rows, axis=0))
+    incidence = np.empty((sum(len(index) for _, index in blocks), width),
+                         dtype=np.int64)
+    start = 0
+    for parts, index in blocks:
+        _edge_columns(graph, parts, index, out=incidence[start:start + len(index)])
+        start += len(index)
+    return CliqueList(blocks=blocks, incidence=incidence,
+                      broken=np.concatenate(broken))
+
+
+def _edge_sums(v: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Per clique, the sum of v over its edges."""
+    out = v[inc[:, 0]]
+    for c in range(1, inc.shape[1]):
+        out += v[inc[:, c]]
+    return out
+
+
+def _clique_sums(inc: np.ndarray, v: np.ndarray, size: int) -> np.ndarray:
+    """W W^T v for a clique-edge incidence: each clique's edge sum onto its edges."""
+    sigma = _edge_sums(v, inc)
+    return np.bincount(inc.ravel(), weights=np.repeat(sigma, inc.shape[1]),
+                       minlength=size)
 
 
 def apply_mg(y: np.ndarray, cliques: CliqueList, num_graph_edges: int) -> np.ndarray:
     """Clique-pair operator of G: accumulate each clique's edge sum onto its edges."""
-    inc = cliques.incidence
-    if inc.shape[0] == 0:
-        return np.zeros(num_graph_edges)
-    sigma = y[inc].sum(axis=1)
-    out = np.bincount(
-        inc.ravel(),
-        weights=np.repeat(sigma, inc.shape[1]),
-        minlength=num_graph_edges)
-    return out[:num_graph_edges]
+    return _clique_sums(cliques.incidence, y, num_graph_edges)[:num_graph_edges]
 
 
-def apply_delta(z: np.ndarray, graph: MultipartiteGraph, cliques: CliqueList,
-                em=None) -> np.ndarray:
-    """Defect operator on a full host vector; missing-edge rows are zero."""
-    st = graph.structure
+def apply_delta(z: np.ndarray, graph: MultipartiteGraph,
+                cliques: CliqueList) -> np.ndarray:
+    """Defect operator on a full host vector; missing-edge rows are zero.
+
+    The host cliques split into those of G and the broken ones B, so on the
+    E(G) rows M_G - M_Gamma = -(W_B W_B^T): the sum over the broken cliques.
+    """
     ng = graph.indexing.num_graph_edges
-    vec = EdgeVector(graph.indexing, z)
-    host_part = apply_mgamma(st.r, st.s, st.n, vec, em)
     out = np.zeros_like(z)
-    out[:ng] = apply_mg(z[:ng], cliques, ng) - host_part[:ng]
+    out[:ng] = -_clique_sums(cliques.broken, z, z.size)[:ng]
     return out
 
 
@@ -135,7 +208,7 @@ def apply_delta_eta(z: np.ndarray, graph: MultipartiteGraph, cliques: CliqueList
     The shift cancels on the E(G) x E(G) block; only the E_2 block against
     the missing edges survives, applied here to z restricted to them.
     """
-    out = apply_delta(z, graph, cliques, em)
+    out = apply_delta(z, graph, cliques)
     ng = graph.indexing.num_graph_edges
     zhat = np.zeros_like(z)
     zhat[ng:] = z[ng:]
@@ -172,7 +245,9 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
 
     M is the host operator (eta-shifted when eta is given); geometric
     convergence at the contraction rate of Minv Delta, which the certified
-    regime bounds by 1/2. Stops on the true residual of the block system.
+    regime bounds by 1/2. With z' = Minv(1 - Delta z) the residual of z' is
+    Delta (z' - z), so one iteration costs one Minv and one Delta apply; the
+    true residual of the block system is confirmed before stopping.
     """
     st = graph.structure
     r, s, n = st.r, st.s, st.n
@@ -186,7 +261,7 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
             raise SolveError(
                 "host operator singular at r = s+1; use the eta path")
         minv = lambda v: apply_mgamma_inverse(r, s, n, EdgeVector(graph.indexing, v), em)
-        delta = lambda v: apply_delta(v, graph, cliques, em)
+        delta = lambda v: apply_delta(v, graph, cliques)
         mfull = lambda v: apply_mgamma(r, s, n, EdgeVector(graph.indexing, v), em)
     else:
         eta_f = float(eta)
@@ -200,16 +275,20 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
     m = graph.indexing.num_edges
     ones = np.ones(m)
     z = minv(ones)
+    dz = delta(z)
     prev_step = None
     contraction = 0.0
     for it in range(1, max_iter + 1):
-        z_next = minv(ones - delta(z))
+        z_next = minv(ones - dz)
+        dz_next = delta(z_next)
         step = np.abs(z_next - z).max()
         if prev_step is not None and prev_step > 0:
             contraction = max(contraction, step / prev_step)
         prev_step = step
-        z = z_next
-        residual = np.abs(mfull(z) + delta(z) - ones).max()
+        residual = np.abs(dz_next - dz).max()
+        z, dz = z_next, dz_next
+        if residual < tol:
+            residual = np.abs(mfull(z) + dz - ones).max()
         report.iterations = it
         report.final_residual_inf = float(residual)
         report.measured_contraction = float(contraction)
@@ -223,13 +302,34 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
 
 @dataclass
 class FractionalDecomposition:
-    """Nonnegative weights on the K_s copies of G; edge sums should be 1."""
+    """Nonnegative weights on the K_s copies of G; edge sums should be 1.
+
+    `weights[k]` belongs to row k of the clique incidence, so it follows the
+    block order of `cliques.blocks`.
+    """
 
     cliques: CliqueList
     weights: np.ndarray
 
+    def blocks(self):
+        """(parts, index, weights) per block of cliques."""
+        start = 0
+        for parts, index in self.cliques.blocks:
+            stop = start + index.shape[0]
+            yield parts, index, self.weights[start:stop]
+            start = stop
+
     def items(self):
-        return zip(self.cliques.cliques, self.weights)
+        """(clique, weight) pairs, streamed block by block.
+
+        A clique is a tuple of s (part, index) vertices, sorted by part; the
+        vertex tuples are shared between the cliques of a block.
+        """
+        for parts, index, weights in self.blocks():
+            n = int(index.max()) + 1
+            vertices = [[(p, i) for i in range(n)] for p in parts]
+            for row, w in zip(index.tolist(), weights.tolist()):
+                yield tuple(map(list.__getitem__, vertices, row)), w
 
 
 CLIP_TOL = 1e-12
@@ -238,36 +338,112 @@ CLIP_TOL = 1e-12
 def extract_weights(y: np.ndarray, cliques: CliqueList) -> FractionalDecomposition:
     """Clique weights w(K) = sum of y over the edges of K.
 
-    Entries of y in [-CLIP_TOL, 0) are floating-point noise and are clipped;
-    anything more negative is a hard failure.
+    Weights in [-CLIP_TOL, 0) are floating-point noise and are clipped;
+    anything more negative is a hard failure. Entries of y may be negative.
     """
-    worst = float(y.min()) if y.size else 0.0
+    w = _edge_sums(y, cliques.incidence)
+    worst = float(w.min()) if w.size else 0.0
     if worst < -CLIP_TOL:
         raise NegativeWeight(
-            f"edge solution has entry {worst:.3e} below -{CLIP_TOL:.0e}")
-    inc = cliques.incidence
-    w = y[inc].sum(axis=1) if inc.shape[0] else np.zeros(0)
+            f"clique weight {worst:.3e} below -{CLIP_TOL:.0e}")
     return FractionalDecomposition(cliques=cliques, weights=np.clip(w, 0.0, None))
+
+
+def verify_cliques(graph: MultipartiteGraph, blocks) -> tuple[float, EdgeKey | None]:
+    """Check weighted cliques against G edge by edge.
+
+    `blocks` yields (parts, index, weights) with `index` a (K, s) integer
+    array of vertex indices, `parts` either a (K, s) array of their parts or
+    one sequence of s parts shared by the block, and `weights` of shape (K,).
+    Edge ids come from this function's own (part, index) arithmetic, not
+    from the solver's incidence. Raises VerificationFailed on a vertex
+    outside the host, two vertices in one part, a negative or non-finite
+    weight, a clique through a missing edge, or an edge of G in no clique.
+    Returns the largest |edge sum - 1| over E(G) and an edge attaining it.
+    """
+    st = graph.structure
+    r, s, n = st.r, st.s, st.n
+    pair_id = np.zeros((r, r), dtype=np.int64)
+    for t, (p, q) in enumerate(combinations(range(r), 2)):
+        pair_id[p, q] = pair_id[q, p] = t
+    size = st.num_edges
+    missing = np.zeros(size, dtype=bool)
+    for (p1, i1), (p2, i2) in graph.missing:
+        missing[(pair_id[p1, p2] * n + i1) * n + i2] = True
+    cover = np.zeros(size)
+    covered = np.zeros(size, dtype=bool)
+
+    for parts, index, weights in blocks:
+        index = np.asarray(index, dtype=np.int64)
+        parts = np.asarray(parts, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        if (index.ndim != 2 or index.shape[1] != s
+                or parts.shape not in ((s,), index.shape)
+                or weights.shape != index.shape[:1]):
+            raise VerificationFailed(
+                f"cliques of shape {index.shape} with parts of shape "
+                f"{parts.shape} and weights of shape {weights.shape}")
+        if index.shape[0] == 0:
+            continue
+        if min(index.min(), parts.min()) < 0 or index.max() >= n or parts.max() >= r:
+            outside = (parts < 0) | (parts >= r) | (index < 0) | (index >= n)
+            _reject("has a vertex outside the host", parts, index, outside.any(axis=-1))
+        if not (weights.min() >= 0 and np.isfinite(weights.max())):
+            _reject("has a negative or non-finite weight", parts, index,
+                    ~(np.isfinite(weights) & (weights >= 0)))
+        if parts.ndim == 2:  # one row of parts per clique: sort each by part
+            order = np.argsort(parts, axis=1, kind="stable")
+            parts = np.take_along_axis(parts, order, axis=1)
+            index = np.take_along_axis(index, order, axis=1)
+        for a, b in combinations(range(s), 2):
+            pa, pb = parts[..., a], parts[..., b]
+            if np.any(pa == pb):
+                _reject("has two vertices in one part", parts, index, pa == pb)
+            ids = (pair_id[pa, pb] * n + index[:, a]) * n + index[:, b]
+            if missing[ids].any():
+                _reject("uses a missing edge", parts, index, missing[ids])
+            cover += np.bincount(ids, weights=weights, minlength=size)
+            covered[ids] = True
+
+    edges = np.flatnonzero(~missing)
+    if edges.size == 0:
+        return 0.0, None
+    bare = edges[~covered[edges]]
+    if bare.size:
+        raise VerificationFailed(
+            f"{bare.size} edges of G lie in no clique, first {_edge_of(bare[0], r, n)}")
+    err = np.abs(cover[edges] - 1.0)
+    worst = int(err.argmax())
+    return float(err[worst]), _edge_of(edges[worst], r, n)
+
+
+def _reject(what: str, parts: np.ndarray, index: np.ndarray, rows):
+    """Raise VerificationFailed naming the first clique of a block where rows holds."""
+    k = int(np.argmax(np.broadcast_to(rows, index.shape[:1])))
+    clique = [(int(p), int(i))
+              for p, i in zip(np.broadcast_to(parts, index.shape)[k], index[k])]
+    raise VerificationFailed(f"clique {clique} {what}")
+
+
+def _edge_of(e: int, r: int, n: int) -> EdgeKey:
+    """The edge with lexicographic id e: pair number, then (i1, i2)."""
+    pair, rest = divmod(int(e), n * n)
+    p1, p2 = list(combinations(range(r), 2))[pair]
+    return ((p1, rest // n), (p2, rest % n))
 
 
 def verify_decomposition(graph: MultipartiteGraph,
                          decomp: FractionalDecomposition) -> float:
     """Max deviation of any per-edge weight sum from 1, recomputed from scratch.
 
-    Walks the weight map clique by clique, resolving edge indices
-    independently of the solver's incidence arrays.
+    Runs the shared block verifier, so it also raises VerificationFailed on a
+    negative weight, a clique through a missing edge or an uncovered edge.
     """
-    ed = graph.indexing
-    cover = np.zeros(ed.num_graph_edges)
-    for K, w in decomp.items():
-        for u, v in combinations(K, 2):
-            cover[ed.index((u, v))] += w
-    return float(np.abs(cover - 1.0).max()) if cover.size else 0.0
+    return verify_cliques(graph, decomp.blocks())[0]
 
 
 def decompose(graph: MultipartiteGraph, tol: float = 1e-10, max_iter: int = 200,
-              eta=None, force: bool = False,
-              ) -> tuple[FractionalDecomposition, SolveReport]:
+              eta=None) -> tuple[FractionalDecomposition, SolveReport]:
     """Full pipeline: admissibility, certification, solve, weights, verification."""
     st = graph.structure
     r, s, n = st.r, st.s, st.n
@@ -306,9 +482,8 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-10, max_iter: int = 200,
 
     t3 = time.perf_counter()
     ng = graph.indexing.num_graph_edges
-    y = z[:ng]
-    decomp = extract_weights(y, cliques)
-    report.min_weight = float(y.min()) if y.size else 0.0
+    decomp = extract_weights(z[:ng], cliques)
+    report.min_weight = float(decomp.weights.min()) if len(cliques) else 0.0
     report.max_edge_sum_error = verify_decomposition(graph, decomp)
     report.timings["verify"] = time.perf_counter() - t3
     return decomp, report

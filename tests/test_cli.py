@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fracdecomp import solver
 from fracdecomp.cli import (
     EXIT_INADMISSIBLE,
     EXIT_OK,
@@ -53,6 +54,17 @@ class TestCheck:
         path = tmp_path / "bad.json"
         path.write_text(g.to_json())
         assert run(["check", "--input", str(path)]) == EXIT_INADMISSIBLE
+
+    @pytest.mark.parametrize("record", [
+        {"r": 5, "s": 3, "n": 4, "missing_edges": [[3, 0, 4, 100]]},
+        {"r": 5, "s": 3, "n": 4, "missing_edges": [[0, 0, 1, 0, 2]]},
+        [5, 3, 4],
+    ])
+    def test_malformed_graph_exits_one(self, tmp_path, capsys, record):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        assert run(["check", "--input", str(path)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
 
     def test_complete_from_parameters(self, capsys):
         assert run(["check", "-r", "5", "-s", "3", "-n", "2"]) == EXIT_OK
@@ -109,6 +121,67 @@ class TestDecomposeAndVerify:
         weights.write_text(json.dumps(bad))
         assert run(["verify", "--input", str(graph_file),
                     "--weights", str(weights)]) == EXIT_VERIFY_FAILED
+
+    def test_removed_flags_are_usage_errors(self, graph_file, tmp_path):
+        for flag in (["--force"], ["--workers", "2"]):
+            assert run(["decompose", "--input", str(graph_file),
+                        "--output", str(tmp_path / "w.json")] + flag) == EXIT_USAGE
+
+    def test_negative_weight_exits_three(self, graph_file, tmp_path, monkeypatch):
+        def negative(*args, **kwargs):
+            raise solver.NegativeWeight("clique weight -1e-3")
+        monkeypatch.setattr(solver, "decompose", negative)
+        assert run(["decompose", "--input", str(graph_file),
+                    "--output", str(tmp_path / "w.json")]) == EXIT_VERIFY_FAILED
+
+
+class TestVerifyRejects:
+    @pytest.fixture
+    def solved(self, graph_file, tmp_path):
+        weights = tmp_path / "weights.json"
+        assert run(["decompose", "--input", str(graph_file),
+                    "--output", str(weights),
+                    "--report", str(tmp_path / "r.json")]) == EXIT_OK
+        return graph_file, weights, json.loads(weights.read_text())
+
+    def _verify(self, solved, records, capsys):
+        graph_file, weights, _ = solved
+        weights.write_text(json.dumps(records))
+        code = run(["verify", "--input", str(graph_file),
+                    "--weights", str(weights)])
+        return code, capsys.readouterr().err
+
+    def test_negative_weight(self, solved, capsys):
+        records = solved[2]
+        records[3]["weight"] = -1e-9
+        code, err = self._verify(solved, records, capsys)
+        assert code == EXIT_VERIFY_FAILED and "negative" in err
+
+    def test_uncovered_edge(self, solved, capsys):
+        records = solved[2]
+        u, w = records[0]["clique"][:2]
+        kept = [rec for rec in records
+                if not (u in rec["clique"] and w in rec["clique"])]
+        code, err = self._verify(solved, kept, capsys)
+        assert code == EXIT_VERIFY_FAILED and "no clique" in err
+
+    def test_vertex_order_within_clique_is_free(self, solved, capsys):
+        records = solved[2]
+        for rec in records:
+            rec["clique"].reverse()
+        code, _ = self._verify(solved, records, capsys)
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("records", [
+        {"clique": [[0, 0], [1, 0], [2, 0]], "weight": 1.0},
+        [{"clique": [[0, 0], [1, 0]], "weight": 1.0}],
+        [{"clique": [[0, 0], [1, 0], [2, 0.5]], "weight": 1.0}],
+        [{"clique": [[0, 0], [1, 0], [2, 0]]}],
+        [{"clique": [[0, 0], [1, 0], [2, 0]], "weight": "1"}],
+    ])
+    def test_malformed_weights_exit_one(self, solved, capsys, records):
+        code, err = self._verify(solved, records, capsys)
+        assert code == EXIT_USAGE and "error:" in err
 
 
 class TestInspectionCommands:

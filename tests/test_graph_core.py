@@ -225,3 +225,20 @@ class TestJsonFormat:
         bad3 = dict(base, missing_edges=[[2, 0, 1, 0]])
         with pytest.raises(GraphError):
             MultipartiteGraph.from_json(json.dumps(bad3))
+
+    @pytest.mark.parametrize("record", [
+        {"r": 5, "s": 3, "n": 4, "missing_edges": [[3, 0, 4, 100]]},
+        {"r": 5, "s": 3, "n": 4, "missing_edges": [[-1, 0, 4, 1]]},
+        {"r": 5, "s": 3, "n": 4, "missing_edges": [[0, 0, 1, 0, 2]]},
+        {"r": 5, "s": 3, "n": 4, "missing_edges": [[0, 0, 1]]},
+        {"r": 5, "s": 3, "n": 4, "missing_edges": [[0, 0, 1, 0.0]]},
+        {"r": 5, "s": 3, "n": 4, "missing_edges": [[0, 0, 1, True]]},
+        {"r": 5, "s": 3, "n": 4, "missing_edges": {"0": [0, 0, 1, 0]}},
+        {"r": 5, "s": 3, "n": 4.0, "missing_edges": []},
+        {"r": "5", "s": 3, "n": 4, "missing_edges": []},
+        {"r": 5, "s": 3, "n": 4},
+        [5, 3, 4, []],
+    ])
+    def test_rejects_malformed_records(self, record):
+        with pytest.raises(GraphError):
+            MultipartiteGraph.from_json(json.dumps(record))

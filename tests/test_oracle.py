@@ -43,6 +43,17 @@ class TestCensus:
         assert counts[1] == counts[2] == counts[4] == 0
 
 
+class TestBruteCliques:
+    def test_complete_count(self):
+        # C(5,3) part triples times n^3 vertex choices
+        assert len(list(oracle.brute_cliques(make_complete(5, 3, 2)))) == 80
+
+    def test_avoids_missing_edges(self):
+        g = make_complete(4, 3, 1).delete_edges([((0, 0), (1, 0))])
+        assert list(oracle.brute_cliques(g)) == [
+            ((0, 0), (2, 0), (3, 0)), ((1, 0), (2, 0), (3, 0))]
+
+
 class TestBruteMgamma:
     def test_diagonal_4_3_2(self):
         # each edge lies on C(r-2, s-2) n^(s-2) = 4 triangles of the host

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from fracdecomp.graph_core import (
     make_complete,
 )
 from fracdecomp.solver import (
+    FractionalDecomposition,
     NegativeWeight,
     SolveError,
+    VerificationFailed,
     apply_delta,
     apply_delta_eta,
     apply_mg,
@@ -16,6 +20,7 @@ from fracdecomp.solver import (
     enumerate_cliques,
     extract_weights,
     neumann_solve,
+    verify_cliques,
     verify_decomposition,
 )
 from fracdecomp.spectral import eta_star
@@ -41,7 +46,9 @@ class TestEnumeration:
         cl = enumerate_cliques(g)
         ng = g.indexing.num_graph_edges
         assert (cl.incidence < ng).all()
-        assert len(set(map(tuple, cl.cliques))) == len(cl)
+        rows = {(parts, tuple(row)) for parts, index in cl.blocks
+                for row in index.tolist()}
+        assert len(rows) == len(cl)
 
     def test_empty_possible(self):
         g = make_complete(4, 3, 1)
@@ -49,6 +56,38 @@ class TestEnumeration:
         # no triangle avoiding the missing edge needs it; K4 minus one edge
         # still has 2 triangles
         assert len(enumerate_cliques(g)) == 2
+
+
+# Two missing edges at (0, 0): the host triangle (0,0),(1,0),(2,0) holds both.
+SHARED = [((0, 0), (1, 0)), ((0, 0), (2, 0)), ((1, 1), (3, 2))]
+
+
+def _host_cliques_through_missing(g):
+    host = make_complete(g.structure.r, g.structure.s, g.structure.n)
+    ed = g.indexing
+    return sorted(
+        tuple(sorted(ed.index((u, w)) for u, w in combinations(K, 2)))
+        for K in oracle.brute_cliques(host)
+        if any(not g.has_edge(u, w) for u, w in combinations(K, 2)))
+
+
+class TestBrokenCliques:
+    def test_each_broken_clique_once(self):
+        g = make_complete(5, 3, 3).delete_edges(SHARED)
+        cl = enumerate_cliques(g)
+        got = sorted(tuple(sorted(row)) for row in cl.broken.tolist())
+        assert got == _host_cliques_through_missing(g)
+        assert len(cl) + len(got) == 10 * 27  # C(5,3) n^3 host triangles
+
+    def test_transversal_cliques_at_s_4(self):
+        # every K_4 inside a deleted transversal K_5 has six missing edges
+        g = generate_admissible_instance(5, 4, 3, 2, seed=1)
+        cl = enumerate_cliques(g)
+        got = sorted(tuple(sorted(row)) for row in cl.broken.tolist())
+        assert got == _host_cliques_through_missing(g)
+
+    def test_complete_host_has_none(self):
+        assert enumerate_cliques(make_complete(5, 3, 2)).broken.shape == (0, 3)
 
 
 class TestApplyMg:
@@ -113,6 +152,21 @@ class TestApplyDelta:
         shifted = apply_delta_eta(z, g, cl, eta_star(3, 4))
         assert np.abs(plain - shifted).max() < 1e-10
 
+    def test_shared_broken_clique_matches_dense(self):
+        g = make_complete(5, 3, 3).delete_edges(SHARED)
+        cl = enumerate_cliques(g)
+        dm = oracle.dense_delta(g)
+        z = np.random.default_rng(10).standard_normal(g.structure.num_edges)
+        assert np.abs(apply_delta(z, g, cl) - dm @ z).max() < 1e-9
+
+    def test_shared_broken_clique_eta_matches_dense(self):
+        g = make_complete(4, 3, 3).delete_edges(SHARED)
+        eta = eta_star(3, 3)
+        cl = enumerate_cliques(g)
+        dm = oracle.dense_delta(g, eta=float(eta))
+        z = np.random.default_rng(11).standard_normal(g.structure.num_edges)
+        assert np.abs(apply_delta_eta(z, g, cl, eta) - dm @ z).max() < 1e-9
+
     def test_missing_rows_are_zero(self):
         g = generate_admissible_instance(5, 3, 4, 3, seed=8)
         cl = enumerate_cliques(g)
@@ -161,7 +215,7 @@ class TestWeights:
         g = make_complete(4, 3, 2)
         cl = enumerate_cliques(g)
         y = np.full(24, 1 / 12)
-        y[0] = -1e-6
+        y[0] = -1.0  # the cliques through edge 0 weigh 1/6 - 1
         with pytest.raises(NegativeWeight):
             extract_weights(y, cl)
 
@@ -172,6 +226,78 @@ class TestWeights:
         y[0] = -1e-13
         d = extract_weights(y, cl)
         assert (d.weights >= 0).all()
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_checks_clique_weights_not_edge_entries(self, seed):
+        # the edge solution has entries near -1e-3, every clique weight is > 0
+        g = generate_admissible_instance(6, 4, 6, 10, seed=seed, per_part_cap=2)
+        cl = enumerate_cliques(g)
+        z, _ = neumann_solve(g, cl)
+        y = z[:g.indexing.num_graph_edges]
+        assert y.min() < -1e-4
+        d = extract_weights(y, cl)
+        assert d.weights.min() > 1e-3
+        assert verify_decomposition(g, d) < 1e-8
+
+
+class TestItems:
+    def test_same_cliques_and_order_as_exhaustive_search(self):
+        g = generate_admissible_instance(5, 3, 4, 3, seed=2)
+        d, _ = decompose(g)
+        pairs = list(d.items())
+        assert [K for K, _ in pairs] == list(oracle.brute_cliques(g))
+        assert [w for _, w in pairs] == d.weights.tolist()
+
+    def test_streams(self):
+        d, _ = decompose(make_complete(5, 3, 2))
+        it = d.items()
+        assert next(it) == (((0, 0), (1, 0), (2, 0)), pytest.approx(1 / 6))
+
+
+class TestVerifier:
+    @pytest.fixture
+    def solved(self):
+        g = generate_admissible_instance(5, 3, 4, 3, seed=2)
+        d, _ = decompose(g)
+        return g, d
+
+    def test_accepts_solution(self, solved):
+        g, d = solved
+        err, edge = verify_cliques(g, d.blocks())
+        assert err < 1e-8 and g.has_edge(*edge)
+
+    def test_rejects_missing_edge_clique(self):
+        host = make_complete(5, 3, 2)
+        d, _ = decompose(host)
+        g = host.delete_edges([((0, 1), (3, 0))])
+        with pytest.raises(VerificationFailed, match="missing edge"):
+            verify_decomposition(g, d)
+
+    def test_rejects_negative_weight(self, solved):
+        g, d = solved
+        weights = d.weights.copy()
+        weights[5] = -1e-9
+        with pytest.raises(VerificationFailed, match="negative"):
+            verify_decomposition(g, FractionalDecomposition(d.cliques, weights))
+
+    def test_rejects_uncovered_edge(self, solved):
+        g, d = solved
+        kept = [b for b in d.blocks() if not {0, 1} <= set(b[0])]
+        with pytest.raises(VerificationFailed, match="no clique"):
+            verify_cliques(g, kept)
+
+    def test_rejects_two_vertices_in_one_part(self, solved):
+        g, _ = solved
+        parts = np.array([[0, 0, 1]])
+        with pytest.raises(VerificationFailed, match="one part"):
+            verify_cliques(g, [(parts, np.array([[0, 1, 0]]), np.ones(1))])
+
+    def test_parts_in_any_order(self, solved):
+        g, d = solved
+        blocks = [(np.tile(parts[::-1], (len(index), 1)), index[:, ::-1], w)
+                  for parts, index, w in d.blocks()]
+        assert verify_cliques(g, blocks) == verify_cliques(g, d.blocks())
 
 
 class TestDecompose:
