@@ -9,9 +9,11 @@ malformed input, 2 inadmissible, 3 attempted-but-failed verification,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +33,6 @@ EXIT_USAGE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_NO_CONVERGENCE = 4
-
-VERIFY_TOL = 1e-8
 
 
 def _load_graph(args) -> MultipartiteGraph:
@@ -81,23 +81,44 @@ def cmd_check(args) -> int:
     return EXIT_OK if rep.admissible else EXIT_INADMISSIBLE
 
 
-def _weights_json(decomp: solver.FractionalDecomposition,
-                  include_zero: bool) -> str:
-    # json writes the vertex tuples as lists
-    records = [
-        {"clique": K, "weight": w}
-        for K, w in decomp.items()
-        if include_zero or w != 0.0
-    ]
-    return json.dumps(records, indent=2)
+WEIGHTS_CHUNK = 1 << 14  # records per write
+
+
+def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
+                   include_zero: bool):
+    """Write the weights file, or print it when there is no path.
+
+    The text is json.dumps of the list of {"clique": [[part, index], ...],
+    "weight": w} records, built chunk by chunk from the block index arrays
+    through one vertex-string table per block, so no record object and no
+    whole-file string exists at any time.
+    """
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        sep = "["
+        for parts, index, weights in decomp.blocks():
+            if not include_zero:
+                keep = weights != 0.0
+                index, weights = index[keep], weights[keep]
+            vertices = [[f"[{p}, {i}]" for i in range(n)] for p in parts]
+            record = ('{"clique": [' + ", ".join(["%s"] * len(parts))
+                      + '], "weight": %r}')
+            for start in range(0, len(weights), WEIGHTS_CHUNK):
+                rows = index[start:start + WEIGHTS_CHUNK].tolist()
+                ws = weights[start:start + WEIGHTS_CHUNK].tolist()
+                fh.write(sep + ", ".join(
+                    record % (*map(list.__getitem__, vertices, row), w)
+                    for row, w in zip(rows, ws)))
+                sep = ", "
+        fh.write("[]" if sep == "[" else "]")
+        if not path:
+            fh.write("\n")
 
 
 def cmd_decompose(args) -> int:
     g = _load_graph(args)
-    eta = Fraction(args.eta) if args.eta else None
     try:
         decomp, rep = solver.decompose(
-            g, tol=args.tol, max_iter=args.max_iter, eta=eta)
+            g, tol=args.tol, max_iter=args.max_iter, eta=args.eta)
     except solver.NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -107,13 +128,13 @@ def cmd_decompose(args) -> int:
     except solver.SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
-    _write(args.output, _weights_json(decomp, args.include_zero_weights))
+    _write_weights(args.output, decomp, g.structure.n, args.include_zero_weights)
     report_text = json.dumps(rep.to_dict(), indent=2)
     if args.report:
         _write(args.report, report_text)
     else:
         print(report_text, file=sys.stderr)
-    return EXIT_OK if rep.max_edge_sum_error < VERIFY_TOL else EXIT_VERIFY_FAILED
+    return EXIT_OK if rep.verified else EXIT_VERIFY_FAILED
 
 
 def _read_weights(records, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -139,11 +160,28 @@ def _read_weights(records, s: int) -> tuple[np.ndarray, np.ndarray]:
     return cliques, weights.astype(float)
 
 
+def _load_acyclic(fh):
+    """json.load with the cyclic garbage collector paused.
+
+    Parsed JSON holds no reference cycles, so the collections that its many
+    allocations would trigger can free nothing; the caller's GC state is
+    restored afterwards.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.load(fh)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def cmd_verify(args) -> int:
     with open(args.input) as fh:
         g = MultipartiteGraph.from_json(fh.read())
     with open(args.weights) as fh:
-        cliques, weights = _read_weights(json.load(fh), g.structure.s)
+        # the parsed records are freed as soon as the arrays are built
+        cliques, weights = _read_weights(_load_acyclic(fh), g.structure.s)
     try:
         err, worst = solver.verify_cliques(
             g, [(cliques[:, :, 0], cliques[:, :, 1], weights)])
@@ -153,10 +191,10 @@ def cmd_verify(args) -> int:
     result = {
         "max_edge_sum_error": err,
         "worst_edge": [list(v) for v in worst] if worst else None,
-        "tolerance": VERIFY_TOL,
+        "tolerance": solver.VERIFY_TOL,
     }
     _write(args.output, json.dumps(result, indent=2))
-    return EXIT_OK if err < VERIFY_TOL else EXIT_VERIFY_FAILED
+    return EXIT_OK if err < solver.VERIFY_TOL else EXIT_VERIFY_FAILED
 
 
 def cmd_tables(args) -> int:
@@ -184,8 +222,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    eta = Fraction(args.eta) if args.eta else None
-    tab = spectral.spectrum(args.r, args.s, args.n, eta=eta)
+    tab = spectral.spectrum(args.r, args.s, args.n, eta=args.eta)
     out = {
         "eigenvalues": [str(x) for x in tab.eigenvalues],
         "eigenvalues_float": [float(x) for x in tab.eigenvalues],
@@ -263,6 +300,18 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _eta(text: str) -> Fraction:
+    """A positive rational eta shift such as 6/5 or 1.2; otherwise a usage error."""
+    try:
+        eta = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+    if eta <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return eta
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fracdecomp",
@@ -292,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", default=None)
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--max-iter", type=int, default=200)
-    sp.add_argument("--eta", default=None)
+    sp.add_argument("--eta", type=_eta, default=None)
     sp.add_argument("--include-zero-weights", action="store_true")
     sp.set_defaults(func=cmd_decompose)
 
@@ -312,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-r", type=int, required=True)
     sp.add_argument("-s", type=int, required=True)
     sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("--eta", default=None)
+    sp.add_argument("--eta", type=_eta, default=None)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_spectrum)
 

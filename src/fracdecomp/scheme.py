@@ -212,14 +212,16 @@ class EdgeVector:
         r, n = st.r, st.n
         v = self.values
         self.T = v.sum()
-        P = np.zeros((r, r))
-        np.add.at(P, (ed.part1, ed.part2), v)
+        # one bincount per aggregate on flattened (row, col) cells; each
+        # cell's values are added in edge order
+        P = np.bincount(ed.part1 * r + ed.part2, weights=v,
+                        minlength=r * r).reshape(r, r)
         P += P.T
         self.P = P
         self.S = P.sum(axis=1)  # S[p] = sum of P[p, k] over k != p
-        Q = np.zeros((r * n, r))
-        np.add.at(Q, (ed.vert1, ed.part2), v)
-        np.add.at(Q, (ed.vert2, ed.part1), v)
+        cells = np.concatenate([ed.vert1 * r + ed.part2, ed.vert2 * r + ed.part1])
+        Q = np.bincount(cells, weights=np.concatenate([v, v]),
+                        minlength=r * n * r).reshape(r * n, r)
         self.Q = Q
         self.Qtot = Q.sum(axis=1)
 

@@ -129,16 +129,32 @@ def _block_broken(n: int, parts, missing: dict) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate(rows), np.concatenate(gen)
 
 
-def enumerate_cliques(graph: MultipartiteGraph) -> CliqueList:
-    """The K_s copies of G and the broken host cliques, block by block.
+def broken_cliques(graph: MultipartiteGraph) -> np.ndarray:
+    """G-first edge indices of the host cliques through a missing edge.
 
-    Complete and duplicate-free by construction. A broken clique is kept
+    One row per broken clique, shape (|B|, C(s,2)). A broken clique is kept
     only from its first missing edge in column order, so it appears once
     however many missing edges it contains.
     """
     st = graph.structure
-    r, s, n = st.r, st.s, st.n
     ng = graph.indexing.num_graph_edges
+    missing = _missing_by_pair(graph)
+    broken = [np.zeros((0, st.s * (st.s - 1) // 2), dtype=np.int64)]
+    for parts in combinations(range(st.r), st.s):
+        lost, gen = _block_broken(st.n, parts, missing)
+        if lost.shape[0]:
+            ids = _edge_columns(graph, parts, lost)
+            broken.append(ids[np.argmax(ids >= ng, axis=1) == gen])
+    return np.concatenate(broken)
+
+
+def enumerate_cliques(graph: MultipartiteGraph) -> CliqueList:
+    """The K_s copies of G and the broken host cliques, block by block.
+
+    Complete and duplicate-free by construction.
+    """
+    st = graph.structure
+    r, s, n = st.r, st.s, st.n
     missing = _missing_by_pair(graph)
     allowed = {}
     for pp in st.part_pairs():
@@ -147,25 +163,20 @@ def enumerate_cliques(graph: MultipartiteGraph) -> CliqueList:
             mask[missing[pp][0], missing[pp][1]] = False
         allowed[pp] = mask
 
-    width = s * (s - 1) // 2
-    blocks, broken = [], [np.zeros((0, width), dtype=np.int64)]
+    blocks = []
     for parts in combinations(range(r), s):
         index = _block_cliques(n, parts, allowed)
         if index.shape[0]:
             blocks.append((parts, index))
-        lost, gen = _block_broken(n, parts, missing)
-        if lost.shape[0]:
-            ids = _edge_columns(graph, parts, lost)
-            broken.append(ids[np.argmax(ids >= ng, axis=1) == gen])
 
-    incidence = np.empty((sum(len(index) for _, index in blocks), width),
+    incidence = np.empty((sum(len(index) for _, index in blocks), s * (s - 1) // 2),
                          dtype=np.int64)
     start = 0
     for parts, index in blocks:
         _edge_columns(graph, parts, index, out=incidence[start:start + len(index)])
         start += len(index)
     return CliqueList(blocks=blocks, incidence=incidence,
-                      broken=np.concatenate(broken))
+                      broken=broken_cliques(graph))
 
 
 def _edge_sums(v: np.ndarray, inc: np.ndarray) -> np.ndarray:
@@ -189,20 +200,22 @@ def apply_mg(y: np.ndarray, cliques: CliqueList, num_graph_edges: int) -> np.nda
 
 
 def apply_delta(z: np.ndarray, graph: MultipartiteGraph,
-                cliques: CliqueList) -> np.ndarray:
+                cliques: CliqueList | np.ndarray) -> np.ndarray:
     """Defect operator on a full host vector; missing-edge rows are zero.
 
     The host cliques split into those of G and the broken ones B, so on the
     E(G) rows M_G - M_Gamma = -(W_B W_B^T): the sum over the broken cliques.
+    `cliques` is G's clique list or only its `broken` incidence.
     """
+    broken = cliques.broken if isinstance(cliques, CliqueList) else cliques
     ng = graph.indexing.num_graph_edges
     out = np.zeros_like(z)
-    out[:ng] = -_clique_sums(cliques.broken, z, z.size)[:ng]
+    out[:ng] = -_clique_sums(broken, z, z.size)[:ng]
     return out
 
 
-def apply_delta_eta(z: np.ndarray, graph: MultipartiteGraph, cliques: CliqueList,
-                    eta, em=None) -> np.ndarray:
+def apply_delta_eta(z: np.ndarray, graph: MultipartiteGraph,
+                    cliques: CliqueList | np.ndarray, eta, em=None) -> np.ndarray:
     """Eta-shifted defect operator.
 
     The shift cancels on the E(G) x E(G) block; only the E_2 block against
@@ -230,6 +243,7 @@ class SolveReport:
     min_weight: float = float("nan")
     max_edge_sum_error: float = float("nan")
     eta: float | None = None
+    verified: bool = False  # max_edge_sum_error < VERIFY_TOL
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -248,27 +262,27 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
     regime bounds by 1/2. With z' = Minv(1 - Delta z) the residual of z' is
     Delta (z' - z), so one iteration costs one Minv and one Delta apply; the
     true residual of the block system is confirmed before stopping.
+    Without `cliques`, only the broken cliques are built.
     """
     st = graph.structure
     r, s, n = st.r, st.s, st.n
     if report is None:
         report = SolveReport()
-    if cliques is None:
-        cliques = enumerate_cliques(graph)
+    broken = cliques.broken if cliques is not None else broken_cliques(graph)
     em = eigenmatrices(r, n)
     if eta is None:
         if r < s + 2:
             raise SolveError(
                 "host operator singular at r = s+1; use the eta path")
         minv = lambda v: apply_mgamma_inverse(r, s, n, EdgeVector(graph.indexing, v), em)
-        delta = lambda v: apply_delta(v, graph, cliques)
+        delta = lambda v: apply_delta(v, graph, broken)
         mfull = lambda v: apply_mgamma(r, s, n, EdgeVector(graph.indexing, v), em)
     else:
         eta_f = float(eta)
         report.eta = eta_f
         minv = lambda v: apply_mgamma_eta_inverse(
             r, s, n, eta, EdgeVector(graph.indexing, v), em)
-        delta = lambda v: apply_delta_eta(v, graph, cliques, eta, em)
+        delta = lambda v: apply_delta_eta(v, graph, broken, eta, em)
         mfull = lambda v: (apply_mgamma(r, s, n, EdgeVector(graph.indexing, v), em)
                            + eta_f * apply_idempotent(2, EdgeVector(graph.indexing, v), em))
 
@@ -333,6 +347,7 @@ class FractionalDecomposition:
 
 
 CLIP_TOL = 1e-12
+VERIFY_TOL = 1e-8  # largest |edge sum - 1| of a verified decomposition
 
 
 def extract_weights(y: np.ndarray, cliques: CliqueList) -> FractionalDecomposition:
@@ -485,5 +500,6 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-10, max_iter: int = 200,
     decomp = extract_weights(z[:ng], cliques)
     report.min_weight = float(decomp.weights.min()) if len(cliques) else 0.0
     report.max_edge_sum_error = verify_decomposition(graph, decomp)
+    report.verified = report.max_edge_sum_error < VERIFY_TOL
     report.timings["verify"] = time.perf_counter() - t3
     return decomp, report

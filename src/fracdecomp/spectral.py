@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,12 +93,20 @@ def spectrum(r: int, s: int, n: int, eta=None) -> SpectrumTable:
     return SpectrumTable(eigenvalues=tuple(lam), multiplicities=mult, eta=eta)
 
 
-def _inverse_element(r: int, s: int, n: int, eta,
-                     em: Eigenmatrices) -> SchemeElement:
+@lru_cache(maxsize=64)
+def _inverse_element(r: int, s: int, n: int, eta) -> SchemeElement:
+    """The inverse host operator in the A-basis.
+
+    Cached because every Minv apply of a solve needs it, and deriving the
+    six coefficients in exact arithmetic costs more than the apply itself.
+    The key leaves out the eigenmatrices: they are a function of (r, n),
+    and hashing their 72 Fractions on every apply would cost about 50 us.
+    """
     tab = spectrum(r, s, n, eta=eta)
     if not tab.invertible:
         raise GraphError(
             "operator is singular (r = s+1 needs a positive eta shift)")
+    em = eigenmatrices(r, n)
     coeffs = tuple(
         sum(em.D[i][j] / tab.eigenvalues[i] for i in range(NUM_CLASSES))
         for j in range(NUM_CLASSES))
@@ -111,16 +120,12 @@ def apply_mgamma(r: int, s: int, n: int, vec: EdgeVector,
 
 def apply_mgamma_inverse(r: int, s: int, n: int, vec: EdgeVector,
                          em: Eigenmatrices | None = None) -> np.ndarray:
-    if em is None:
-        em = eigenmatrices(r, n)
-    return apply_scheme_element(_inverse_element(r, s, n, None, em), vec, em)
+    return apply_scheme_element(_inverse_element(r, s, n, None), vec, em)
 
 
 def apply_mgamma_eta_inverse(r: int, s: int, n: int, eta, vec: EdgeVector,
                              em: Eigenmatrices | None = None) -> np.ndarray:
-    if em is None:
-        em = eigenmatrices(r, n)
-    return apply_scheme_element(_inverse_element(r, s, n, eta, em), vec, em)
+    return apply_scheme_element(_inverse_element(r, s, n, eta), vec, em)
 
 
 def norm_mgamma_inverse(r: int, s: int, n: int) -> Fraction:

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from fracdecomp.cli import (
     EXIT_VERIFY_FAILED,
     run,
 )
-from fracdecomp.graph_core import make_complete
+from fracdecomp.graph_core import MultipartiteGraph, make_complete
 
 
 @pytest.fixture
@@ -133,6 +134,119 @@ class TestDecomposeAndVerify:
         monkeypatch.setattr(solver, "decompose", negative)
         assert run(["decompose", "--input", str(graph_file),
                     "--output", str(tmp_path / "w.json")]) == EXIT_VERIFY_FAILED
+
+
+    def test_loose_tolerance_exits_three(self, graph_file, tmp_path):
+        report = tmp_path / "r.json"
+        assert run(["decompose", "--input", str(graph_file), "--tol", "1e-2",
+                    "--output", str(tmp_path / "w.json"),
+                    "--report", str(report)]) == EXIT_VERIFY_FAILED
+        assert json.loads(report.read_text())["verified"] is False
+
+
+class TestEtaOption:
+    @pytest.mark.parametrize("command", ["decompose", "spectrum"])
+    @pytest.mark.parametrize("eta", ["abc", "1/0", "-1", "0"])
+    def test_bad_eta_is_usage_error(self, capsys, command, eta):
+        code = run([command, "-r", "4", "-s", "3", "-n", "2", "--eta", eta])
+        assert code == EXIT_USAGE
+        assert "--eta" in capsys.readouterr().err
+
+    def test_eta_reaches_the_solver(self, graph_file, tmp_path):
+        # eta* = n^(s-2) s / (s+2) = 12/5 is the default at (4, 3, 4)
+        w1, w2 = tmp_path / "w1.json", tmp_path / "w2.json"
+        for w, flag in ((w1, []), (w2, ["--eta", "12/5"])):
+            assert run(["decompose", "--input", str(graph_file),
+                        "--output", str(w),
+                        "--report", str(tmp_path / "r.json")] + flag) == EXIT_OK
+        assert w1.read_bytes() == w2.read_bytes()
+
+
+class TestWeightsFile:
+    @pytest.fixture
+    def solved(self, graph_file):
+        g = MultipartiteGraph.from_json(graph_file.read_text())
+        decomp, _ = solver.decompose(g)
+        records = [{"clique": K, "weight": w} for K, w in decomp.items()]
+        return decomp, records
+
+    def _decompose(self, graph_file, tmp_path, *flags):
+        weights = tmp_path / "weights.json"
+        assert run(["decompose", "--input", str(graph_file),
+                    "--output", str(weights),
+                    "--report", str(tmp_path / "r.json"), *flags]) == EXIT_OK
+        return weights.read_text()
+
+    def test_compact_json_of_the_records(self, graph_file, tmp_path, solved):
+        _, records = solved
+        text = self._decompose(graph_file, tmp_path)
+        assert text == json.dumps(records)
+        assert json.loads(text) == json.loads(json.dumps(records, indent=2))
+
+    def _zero_some(self, monkeypatch, count):
+        real = solver.decompose
+
+        def with_zeros(*args, **kwargs):
+            decomp, rep = real(*args, **kwargs)
+            decomp.weights[:count] = 0.0
+            return decomp, rep
+        monkeypatch.setattr(solver, "decompose", with_zeros)
+
+    def test_zero_weights_dropped_unless_asked(self, graph_file, tmp_path,
+                                               monkeypatch, solved):
+        _, records = solved
+        self._zero_some(monkeypatch, 3)
+        kept = json.loads(self._decompose(graph_file, tmp_path))
+        assert kept == json.loads(json.dumps(records[3:]))
+        every = json.loads(self._decompose(
+            graph_file, tmp_path, "--include-zero-weights"))
+        assert [rec["weight"] for rec in every[:3]] == [0.0] * 3
+        assert len(every) == len(records)
+
+    def test_no_records_writes_empty_list(self, graph_file, tmp_path,
+                                          monkeypatch, solved):
+        self._zero_some(monkeypatch, len(solved[1]))
+        assert self._decompose(graph_file, tmp_path) == "[]"
+
+    def test_stdout_without_output(self, graph_file, tmp_path, capsys, solved):
+        _, records = solved
+        assert run(["decompose", "--input", str(graph_file),
+                    "--report", str(tmp_path / "r.json")]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(records) + "\n"
+
+    def test_verify_accepts_indented_file(self, graph_file, tmp_path, solved):
+        weights = tmp_path / "indented.json"
+        weights.write_text(json.dumps(solved[1], indent=2))
+        assert run(["verify", "--input", str(graph_file),
+                    "--weights", str(weights)]) == EXIT_OK
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text,code", [
+        (None, EXIT_OK), ("[{", EXIT_USAGE), ('{"clique": 1}', EXIT_USAGE)])
+    def test_verify_restores_gc_state(self, graph_file, tmp_path, monkeypatch,
+                                      enabled, text, code):
+        weights = tmp_path / "weights.json"
+        if text is None:
+            self._decompose(graph_file, tmp_path)
+        else:
+            weights.write_text(text)
+        real_load = json.load
+        seen = []
+
+        def spy(fh):
+            seen.append(gc.isenabled())
+            return real_load(fh)
+        monkeypatch.setattr(json, "load", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(["verify", "--input", str(graph_file),
+                        "--weights", str(weights)]) == code
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
 
 
 class TestVerifyRejects:

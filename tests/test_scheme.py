@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fracdecomp.graph_core import GraphError, make_complete
+from fracdecomp.graph_core import GraphError, generate_admissible_instance, make_complete
 from fracdecomp.oracle import dense_adjacency_matrices, dense_idempotents
 from fracdecomp.scheme import (
     EdgeVector,
@@ -119,6 +119,20 @@ class TestMatrixFreeOperators:
         out = apply_all_adjacency(vec)
         for i in range(NUM_CLASSES):
             assert np.allclose(out[i], valency(i, 4, 2))
+
+    def test_aggregates_match_add_at_reference(self):
+        ed = generate_admissible_instance(5, 3, 6, 12, seed=4, per_part_cap=2).indexing
+        r, n = 5, 6
+        v = np.random.default_rng(3).standard_normal(ed.num_edges)
+        vec = EdgeVector(ed, v)
+        P = np.zeros((r, r))
+        np.add.at(P, (ed.part1, ed.part2), v)
+        Q = np.zeros((r * n, r))
+        np.add.at(Q, (ed.vert1, ed.part2), v)
+        np.add.at(Q, (ed.vert2, ed.part1), v)
+        # same additions in the same order: equal to the last bit
+        assert np.array_equal(vec.P, P + P.T)
+        assert np.array_equal(vec.Q, Q)
 
     def test_a0_is_identity(self, host_4_2):
         ed, _ = host_4_2

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fracdecomp import oracle
+from fracdecomp import oracle, solver
 from fracdecomp.graph_core import (
     generate_admissible_instance,
     make_complete,
@@ -11,6 +11,7 @@ from fracdecomp.graph_core import (
 from fracdecomp.solver import (
     FractionalDecomposition,
     NegativeWeight,
+    VERIFY_TOL,
     SolveError,
     VerificationFailed,
     apply_delta,
@@ -197,6 +198,21 @@ class TestNeumannSolve:
         y = z[:ng]
         assert np.abs(apply_mg(y, cl, ng) - 1.0).max() < 1e-8
 
+    @pytest.mark.parametrize("r,s,n,defects,seed,eta", [
+        (5, 3, 8, 4, 1, None),
+        (4, 3, 8, 2, 3, eta_star(3, 8)),
+    ])
+    def test_bare_solve_builds_only_broken_cliques(self, monkeypatch, r, s, n,
+                                                   defects, seed, eta):
+        g = generate_admissible_instance(r, s, n, defects, seed=seed)
+        want, _ = neumann_solve(g, enumerate_cliques(g), eta=eta)
+
+        def refuse(graph):
+            raise AssertionError("the solve enumerated every clique of G")
+        monkeypatch.setattr(solver, "enumerate_cliques", refuse)
+        got, _ = neumann_solve(g, eta=eta)
+        assert np.array_equal(got, want)
+
     def test_plain_path_rejected_at_r_equals_s_plus_1(self):
         with pytest.raises(SolveError):
             neumann_solve(make_complete(4, 3, 2))
@@ -324,6 +340,17 @@ class TestDecompose:
         assert rep.converged
         assert rep.max_edge_sum_error < 1e-8
         assert d.weights.min() >= 0
+
+    def test_verified_report(self):
+        _, rep = decompose(generate_admissible_instance(5, 3, 8, 4, seed=1))
+        assert rep.verified and rep.max_edge_sum_error < VERIFY_TOL
+        assert rep.to_dict()["verified"] is True
+
+    def test_loose_tolerance_returns_unverified_report(self):
+        g = generate_admissible_instance(5, 3, 8, 4, seed=1)
+        _, rep = decompose(g, tol=1e-2)
+        assert not rep.verified and rep.max_edge_sum_error >= VERIFY_TOL
+        assert rep.to_dict()["verified"] is False
 
     def test_inadmissible_rejected_on_eta_path(self):
         g = make_complete(4, 3, 2).delete_edges([((0, 0), (1, 0))])

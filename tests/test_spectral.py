@@ -111,6 +111,14 @@ class TestInverseApplication:
                 + float(eta) * apply_idempotent(2, EdgeVector(ed, inv), em))
         assert np.abs(back - v).max() < 1e-9
 
+    def test_inverse_element_cached_per_key(self):
+        first = spectral._inverse_element(5, 3, 2, None)
+        assert spectral._inverse_element(5, 3, 2, None) is first
+        assert first == spectral._inverse_element.__wrapped__(5, 3, 2, None)
+        eta = eta_star(3, 2)
+        assert (spectral._inverse_element(4, 3, 2, eta)
+                != spectral._inverse_element(4, 3, 2, 2 * eta))
+
     def test_singular_without_eta(self):
         ed = make_complete(4, 3, 2).indexing
         with pytest.raises(GraphError):
