@@ -13,8 +13,9 @@ import gc
 import json
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -141,36 +142,45 @@ def _read_weights(records, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The (K, s, 2) integer clique array and (K,) weights of a weights file.
 
     Raises GraphError unless every record is {"clique": [[part, index], ...
-    s vertices], "weight": number}.
+    s vertices], "weight": number}. The vertex entries go straight into one
+    flat integer array, with no nested lists for numpy to walk.
     """
     if not isinstance(records, list):
         raise GraphError("weights file must hold a list of records")
     if not records:
         return np.zeros((0, s, 2), dtype=np.int64), np.zeros(0)
     try:
-        cliques = np.array([rec["clique"] for rec in records])
+        cliques = [rec["clique"] for rec in records]
         weights = np.array([rec["weight"] for rec in records])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed weights record: {exc!r}") from exc
-    if cliques.shape[1:] != (s, 2) or cliques.dtype.kind != "i":
-        raise GraphError(
-            f"every clique must be {s} [part, index] integer pairs")
     if weights.ndim != 1 or weights.dtype.kind not in "if":
         raise GraphError("every weight must be a number")
-    return cliques, weights.astype(float)
+    try:
+        vertices = list(chain.from_iterable(cliques))
+        if set(map(len, cliques)) == {s} and set(map(len, vertices)) == {2}:
+            entries = list(chain.from_iterable(vertices))
+            if set(map(type, entries)) == {int}:
+                flat = np.fromiter(entries, dtype=np.int64, count=len(entries))
+                return flat.reshape(-1, s, 2), weights.astype(float)
+    except (TypeError, OverflowError):
+        pass
+    raise GraphError(f"every clique must be {s} [part, index] integer pairs")
 
 
-def _load_acyclic(fh):
-    """json.load with the cyclic garbage collector paused.
+@contextmanager
+def _gc_paused():
+    """The cyclic garbage collector paused; the caller's GC state is restored.
 
     Parsed JSON holds no reference cycles, so the collections that its many
-    allocations would trigger can free nothing; the caller's GC state is
-    restored afterwards.
+    allocations would trigger can free nothing. The records must also be
+    freed inside the pause: otherwise the first allocation after it runs one
+    young-generation collection over all of them.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.load(fh)
+        yield
     finally:
         if enabled:
             gc.enable()
@@ -179,9 +189,9 @@ def _load_acyclic(fh):
 def cmd_verify(args) -> int:
     with open(args.input) as fh:
         g = MultipartiteGraph.from_json(fh.read())
-    with open(args.weights) as fh:
+    with open(args.weights) as fh, _gc_paused():
         # the parsed records are freed as soon as the arrays are built
-        cliques, weights = _read_weights(_load_acyclic(fh), g.structure.s)
+        cliques, weights = _read_weights(json.load(fh), g.structure.s)
     try:
         err, worst = solver.verify_cliques(
             g, [(cliques[:, :, 0], cliques[:, :, 1], weights)])

@@ -90,7 +90,8 @@ def _clique_edge_rows(graph: MultipartiteGraph, cliques):
     for K in cliques:
         rows.append([ed.index((u, w) if u[0] < w[0] else (w, u))
                      for u, w in combinations(K, 2)])
-    return np.asarray(rows, dtype=np.int64).reshape(len(cliques), -1)
+    return np.asarray(rows, dtype=np.int64).reshape(
+        len(cliques), binom(graph.structure.s, 2))
 
 
 def _gram(num_rows: int, incidence: np.ndarray) -> np.ndarray:

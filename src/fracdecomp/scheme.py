@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,7 +120,13 @@ class Eigenmatrices:
         return [int(self.D[i][0] * m_edges) for i in range(NUM_CLASSES)]
 
 
+@lru_cache(maxsize=64)
 def eigenmatrices(r: int, n: int) -> Eigenmatrices:
+    """The eigenmatrices of the scheme for (r, n), checked C D = I once.
+
+    Cached because every solve needs them and the exact check costs more
+    than a Minv apply; the frozen result is safe to share.
+    """
     if r < 4:
         raise GraphError(f"scheme needs r >= 4, got r={r}")
     F = Fraction

@@ -55,33 +55,49 @@ class CliqueList:
     `blocks` holds one (parts, index) pair per part subset that has cliques,
     in lexicographic order of the subsets; row k of `index` is the clique
     with vertex (parts[j], index[k, j]) in column j, rows in lexicographic
-    order. `incidence` lists the C(s,2) G-first edge indices of every clique,
-    rows in block order. `broken` is the same for the host cliques that
-    contain at least one missing edge, each exactly once: the defect
-    operator needs only those.
+    order. `broken` lists the C(s,2) G-first edge indices of the host
+    cliques that contain at least one missing edge, each exactly once: the
+    defect operator needs only those.
     """
 
     blocks: list[tuple[tuple[int, ...], np.ndarray]]
-    incidence: np.ndarray  # shape (len(self), C(s,2))
     broken: np.ndarray  # shape (|B|, C(s,2))
+    graph: MultipartiteGraph = field(repr=False)
 
     def __len__(self):
-        return self.incidence.shape[0]
+        return sum(index.shape[0] for _, index in self.blocks)
+
+    @property
+    def incidence(self) -> np.ndarray:
+        """G-first indices of the C(s,2) edges of every clique, rows in block order.
+
+        Built on each access, shape (len(self), C(s,2)); the solve and the
+        weights never need it.
+        """
+        s = self.graph.structure.s
+        return np.concatenate(
+            [np.zeros((0, s * (s - 1) // 2), dtype=np.int64)]
+            + [_edge_columns(self.graph, parts, index) for parts, index in self.blocks])
 
 
-def _edge_columns(graph: MultipartiteGraph, parts, index: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def _edge_columns(graph: MultipartiteGraph, parts, index: np.ndarray) -> np.ndarray:
     """G-first indices of the C(s,2) edges of each clique of one block."""
     ed = graph.indexing
     n = graph.structure.n
     pair_pos = {pp: t for t, pp in enumerate(graph.structure.part_pairs())}
     pairs = list(combinations(range(len(parts)), 2))
-    if out is None:
-        out = np.empty((index.shape[0], len(pairs)), dtype=np.int64)
+    out = np.empty((index.shape[0], len(pairs)), dtype=np.int64)
     for t, (a, b) in enumerate(pairs):
         out[:, t] = ed.pos[pair_pos[(parts[a], parts[b])] * n * n
                            + index[:, a] * n + index[:, b]]
     return out
+
+
+def _on_axes(mat: np.ndarray, a: int, b: int, s: int) -> np.ndarray:
+    """An n x n array as a view broadcast along the axes a < b of an s-cube."""
+    shape = [1] * s
+    shape[a], shape[b] = mat.shape
+    return mat.reshape(shape)
 
 
 def _missing_by_pair(graph: MultipartiteGraph) -> dict:
@@ -90,18 +106,6 @@ def _missing_by_pair(graph: MultipartiteGraph) -> dict:
     for (p1, i1), (p2, i2) in graph.missing:
         grouped.setdefault((p1, p2), []).append((i1, i2))
     return {pp: np.asarray(sorted(v), dtype=np.int64).T for pp, v in grouped.items()}
-
-
-def _block_cliques(n: int, parts, allowed: dict) -> np.ndarray:
-    """Cliques of G on one part subset: join parts one at a time with adjacency masks."""
-    partial = np.arange(n, dtype=np.int64).reshape(n, 1)
-    for t in range(1, len(parts)):
-        ok = np.ones((partial.shape[0], n), dtype=bool)
-        for j in range(t):
-            ok &= allowed[(parts[j], parts[t])][partial[:, j], :]
-        who, nxt = np.nonzero(ok)
-        partial = np.concatenate([partial[who], nxt.reshape(-1, 1)], axis=1)
-    return partial
 
 
 def _block_broken(n: int, parts, missing: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -151,32 +155,26 @@ def broken_cliques(graph: MultipartiteGraph) -> np.ndarray:
 def enumerate_cliques(graph: MultipartiteGraph) -> CliqueList:
     """The K_s copies of G and the broken host cliques, block by block.
 
-    Complete and duplicate-free by construction.
+    On a part subset, the cliques of G are the cells of the n^s cube where
+    all C(s,2) "is an edge of G" masks hold, each mask broadcast along its
+    two axes; the nonzero cells come in lexicographic order. Complete and
+    duplicate-free by construction.
     """
     st = graph.structure
     r, s, n = st.r, st.s, st.n
     missing = _missing_by_pair(graph)
-    allowed = {}
-    for pp in st.part_pairs():
-        mask = np.ones((n, n), dtype=bool)
-        if pp in missing:
-            mask[missing[pp][0], missing[pp][1]] = False
-        allowed[pp] = mask
-
     blocks = []
     for parts in combinations(range(r), s):
-        index = _block_cliques(n, parts, allowed)
+        cube = np.ones((n,) * s, dtype=bool)
+        for a, b in combinations(range(s), 2):
+            if (parts[a], parts[b]) in missing:
+                edge = np.ones((n, n), dtype=bool)
+                edge[tuple(missing[(parts[a], parts[b])])] = False
+                cube &= _on_axes(edge, a, b, s)
+        index = np.argwhere(cube)
         if index.shape[0]:
             blocks.append((parts, index))
-
-    incidence = np.empty((sum(len(index) for _, index in blocks), s * (s - 1) // 2),
-                         dtype=np.int64)
-    start = 0
-    for parts, index in blocks:
-        _edge_columns(graph, parts, index, out=incidence[start:start + len(index)])
-        start += len(index)
-    return CliqueList(blocks=blocks, incidence=incidence,
-                      broken=broken_cliques(graph))
+    return CliqueList(blocks=blocks, broken=broken_cliques(graph), graph=graph)
 
 
 def _edge_sums(v: np.ndarray, inc: np.ndarray) -> np.ndarray:
@@ -318,8 +316,8 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
 class FractionalDecomposition:
     """Nonnegative weights on the K_s copies of G; edge sums should be 1.
 
-    `weights[k]` belongs to row k of the clique incidence, so it follows the
-    block order of `cliques.blocks`.
+    `weights[k]` belongs to the k-th clique in the block order of
+    `cliques.blocks`.
     """
 
     cliques: CliqueList
@@ -353,15 +351,38 @@ VERIFY_TOL = 1e-8  # largest |edge sum - 1| of a verified decomposition
 def extract_weights(y: np.ndarray, cliques: CliqueList) -> FractionalDecomposition:
     """Clique weights w(K) = sum of y over the edges of K.
 
+    y is indexed by the edges of G in G-first order. Per block, the weights
+    of every cell of the n^s cube are the broadcast sum of the C(s,2) n x n
+    slices of y in host order (0 on missing edges), added in the column
+    pair order of the incidence, and the cliques take their cells.
     Weights in [-CLIP_TOL, 0) are floating-point noise and are clipped;
     anything more negative is a hard failure. Entries of y may be negative.
     """
-    w = _edge_sums(y, cliques.incidence)
+    graph = cliques.graph
+    st = graph.structure
+    s, n = st.s, st.n
+    ed = graph.indexing
+    host = np.zeros(ed.num_edges)
+    host[ed.order[:ed.num_graph_edges]] = y
+    host = host.reshape(-1, n, n)
+    pair_pos = {pp: t for t, pp in enumerate(st.part_pairs())}
+    w = np.empty(len(cliques))
+    start = 0
+    for parts, index in cliques.blocks:
+        terms = (_on_axes(host[pair_pos[(parts[a], parts[b])]], a, b, s)
+                 for a, b in combinations(range(s), 2))
+        cube = np.empty((n,) * s)
+        cube[...] = next(terms)
+        for term in terms:
+            cube += term
+        w[start:start + index.shape[0]] = cube[tuple(index.T)]
+        start += index.shape[0]
     worst = float(w.min()) if w.size else 0.0
     if worst < -CLIP_TOL:
         raise NegativeWeight(
             f"clique weight {worst:.3e} below -{CLIP_TOL:.0e}")
-    return FractionalDecomposition(cliques=cliques, weights=np.clip(w, 0.0, None))
+    np.clip(w, 0.0, None, out=w)
+    return FractionalDecomposition(cliques=cliques, weights=w)
 
 
 def verify_cliques(graph: MultipartiteGraph, blocks) -> tuple[float, EdgeKey | None]:

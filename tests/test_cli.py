@@ -1,14 +1,16 @@
 import gc
 import json
 
+import numpy as np
 import pytest
 
-from fracdecomp import solver
+from fracdecomp import cli, solver
 from fracdecomp.cli import (
     EXIT_INADMISSIBLE,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    _read_weights,
     run,
 )
 from fracdecomp.graph_core import MultipartiteGraph, make_complete
@@ -248,6 +250,21 @@ class TestWeightsFile:
             (gc.enable if was else gc.disable)()
         assert seen == [False]
 
+    def test_records_freed_before_gc_resumes(self, graph_file, tmp_path,
+                                             monkeypatch):
+        self._decompose(graph_file, tmp_path)
+        real_read = cli._read_weights
+        seen = []
+
+        def spy(records, s):
+            seen.append(gc.isenabled())
+            return real_read(records, s)
+        monkeypatch.setattr(cli, "_read_weights", spy)
+        assert gc.isenabled()
+        assert run(["verify", "--input", str(graph_file),
+                    "--weights", str(tmp_path / "weights.json")]) == EXIT_OK
+        assert seen == [False] and gc.isenabled()
+
 
 class TestVerifyRejects:
     @pytest.fixture
@@ -296,6 +313,28 @@ class TestVerifyRejects:
     def test_malformed_weights_exit_one(self, solved, capsys, records):
         code, err = self._verify(solved, records, capsys)
         assert code == EXIT_USAGE and "error:" in err
+
+    @pytest.mark.parametrize("clique", [
+        [[0, 0, 0], [1], [2, 0]],  # six entries, but not three pairs
+        [[0, 0], [1, 0], [2, 2.0]],
+        [[0, 0], [1, True], [2, 0]],
+        [[0, 0], [1, "0"], [2, 0]],
+        [[0, 0], [1, 2 ** 70], [2, 0]],
+        [[0, 0], "01", [2, 0]],
+        "012",
+    ])
+    def test_malformed_vertex_entries_exit_one(self, solved, capsys, clique):
+        records = solved[2]
+        records[1]["clique"] = clique
+        code, err = self._verify(solved, records, capsys)
+        assert code == EXIT_USAGE and "error:" in err
+
+    def test_read_weights_matches_nested_build(self, solved):
+        records = solved[2]
+        cliques, weights = _read_weights(records, 3)
+        want = np.array([rec["clique"] for rec in records])
+        assert cliques.dtype == np.int64 and np.array_equal(cliques, want)
+        assert np.array_equal(weights, [rec["weight"] for rec in records])
 
 
 class TestInspectionCommands:

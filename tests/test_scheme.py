@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from fracdecomp import scheme
 from fracdecomp.graph_core import GraphError, generate_admissible_instance, make_complete
 from fracdecomp.oracle import dense_adjacency_matrices, dense_idempotents
 from fracdecomp.scheme import (
@@ -90,6 +91,21 @@ class TestEigenmatrices:
     def test_multiplicities(self):
         em = eigenmatrices(5, 2)
         assert em.multiplicities(5, 2) == [1, 4, 5, 5, 15, 10]
+
+    def test_cached_and_checked_once_per_key(self, monkeypatch):
+        checked = []
+        real = scheme._assert_mutually_inverse
+
+        def spy(em):
+            checked.append(em)
+            real(em)
+        monkeypatch.setattr(scheme, "_assert_mutually_inverse", spy)
+        eigenmatrices.cache_clear()
+        first = eigenmatrices(7, 5)
+        assert eigenmatrices(7, 5) is first
+        other = eigenmatrices(7, 6)
+        assert eigenmatrices(7, 6) is other and other is not first
+        assert checked == [first, other]
 
 
 class TestSchemeElement:

@@ -370,3 +370,49 @@ class TestDecompose:
         np.add.at(cover, cl.incidence.ravel(),
                   np.repeat(d.weights, cl.incidence.shape[1]))
         assert np.abs(cover - 1.0).max() < 1e-8
+
+
+BLOCK_GRAPHS = {
+    "r>=s+2": generate_admissible_instance(5, 3, 4, 6, seed=1, per_part_cap=2),
+    "s=4 r>=s+2": generate_admissible_instance(6, 4, 3, 4, seed=2),
+    "shared broken clique": make_complete(5, 3, 3).delete_edges(SHARED),
+    "r=s+1": generate_admissible_instance(4, 3, 4, 1, seed=3),
+    "s=4 r=s+1": generate_admissible_instance(5, 4, 3, 1, seed=4),
+    "s=5 r=s+1": generate_admissible_instance(6, 5, 2, 1, seed=5),
+}
+
+
+class TestBroadcastBlocks:
+    @pytest.mark.parametrize("name", BLOCK_GRAPHS)
+    def test_blocks_match_exhaustive_search(self, name):
+        g = BLOCK_GRAPHS[name]
+        want = {}
+        for K in oracle.brute_cliques(g):
+            want.setdefault(tuple(p for p, _ in K), []).append([i for _, i in K])
+        cl = enumerate_cliques(g)
+        assert [parts for parts, _ in cl.blocks] == list(want)
+        for parts, index in cl.blocks:
+            assert index.dtype == np.int64
+            assert index.tolist() == want[parts]
+
+    @pytest.mark.parametrize("name", BLOCK_GRAPHS)
+    def test_weights_equal_incidence_sums(self, name):
+        g = BLOCK_GRAPHS[name]
+        cl = enumerate_cliques(g)
+        y = np.random.default_rng(0).random(g.indexing.num_graph_edges)
+        want = solver._edge_sums(y, cl.incidence)
+        assert np.array_equal(extract_weights(y, cl).weights, want)
+
+    @pytest.mark.parametrize("r,s,n,defects,seed", [
+        (5, 3, 8, 4, 1),
+        (5, 4, 4, 1, 2),  # eta path
+    ])
+    def test_decompose_never_builds_incidence(self, monkeypatch, r, s, n,
+                                              defects, seed):
+        g = generate_admissible_instance(r, s, n, defects, seed=seed)
+
+        def refuse(self):
+            raise AssertionError("the incidence of G's cliques was built")
+        monkeypatch.setattr(solver.CliqueList, "incidence", property(refuse))
+        d, rep = decompose(g)
+        assert rep.verified and len(d.weights) == len(d.cliques) > 0
