@@ -117,18 +117,8 @@ def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
 
 def cmd_decompose(args) -> int:
     g = _load_graph(args)
-    try:
-        decomp, rep = solver.decompose(
-            g, tol=args.tol, max_iter=args.max_iter, eta=args.eta)
-    except solver.NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (solver.NegativeWeight, solver.VerificationFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except solver.SolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+    decomp, rep = solver.decompose(
+        g, tol=args.tol, max_iter=args.max_iter, eta=args.eta)
     _write_weights(args.output, decomp, g.structure.n, args.include_zero_weights)
     report_text = json.dumps(rep.to_dict(), indent=2)
     if args.report:
@@ -151,10 +141,13 @@ def _read_weights(records, s: int) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((0, s, 2), dtype=np.int64), np.zeros(0)
     try:
         cliques = [rec["clique"] for rec in records]
-        weights = np.array([rec["weight"] for rec in records])
+        values = [rec["weight"] for rec in records]
+        weights = np.array(values)
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed weights record: {exc!r}") from exc
-    if weights.ndim != 1 or weights.dtype.kind not in "if":
+    # numpy reads a JSON true or false among numbers as 1 or 0
+    if (weights.ndim != 1 or weights.dtype.kind not in "if"
+            or bool in set(map(type, values))):
         raise GraphError("every weight must be a number")
     try:
         vertices = list(chain.from_iterable(cliques))
@@ -192,12 +185,8 @@ def cmd_verify(args) -> int:
     with open(args.weights) as fh, _gc_paused():
         # the parsed records are freed as soon as the arrays are built
         cliques, weights = _read_weights(json.load(fh), g.structure.s)
-    try:
-        err, worst = solver.verify_cliques(
-            g, [(cliques[:, :, 0], cliques[:, :, 1], weights)])
-    except solver.VerificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+    err, worst = solver.verify_cliques(
+        g, [(cliques[:, :, 0], cliques[:, :, 1], weights)])
     result = {
         "max_edge_sum_error": err,
         "worst_edge": [list(v) for v in worst] if worst else None,
@@ -301,7 +290,7 @@ def cmd_bench(args) -> int:
                "matrix_free_s": best, "iterations": iters}
         try:
             t0 = time.perf_counter()
-            oracle.dense_solve(g, cap=args.oracle_cap)
+            oracle.dense_solve(g, eta=rep.eta, cap=args.oracle_cap)
             row["dense_s"] = time.perf_counter() - t0
         except oracle.SizeCapExceeded:
             row["dense_s"] = None
@@ -397,6 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _solve_exit_code(exc: solver.SolveError) -> int:
+    """The exit code of a failed solve or verification, for every command."""
+    if isinstance(exc, solver.NonConvergence):
+        return EXIT_NO_CONVERGENCE
+    if isinstance(exc, (solver.NegativeWeight, solver.VerificationFailed)):
+        return EXIT_VERIFY_FAILED
+    return EXIT_INADMISSIBLE
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -405,6 +403,9 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except solver.SolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _solve_exit_code(exc)
     except (GraphError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -257,23 +257,17 @@ def apply_adjacency(i: int, vec: EdgeVector) -> np.ndarray:
     return apply_all_adjacency(vec)[i]
 
 
-def apply_scheme_element(elem: SchemeElement, vec: EdgeVector,
-                         em: Eigenmatrices | None = None) -> np.ndarray:
+def apply_scheme_element(elem: SchemeElement, vec: EdgeVector) -> np.ndarray:
     if elem.basis == "E":
-        if em is None:
-            st = vec.edges.structure
-            em = eigenmatrices(st.r, st.n)
-        elem = elem.to_basis("A", em)
+        st = vec.edges.structure
+        elem = elem.to_basis("A", eigenmatrices(st.r, st.n))
     av = apply_all_adjacency(vec)
     coeffs = np.array([float(c) for c in elem.coeffs])
     return coeffs @ av
 
 
-def apply_idempotent(i: int, vec: EdgeVector,
-                     em: Eigenmatrices | None = None) -> np.ndarray:
+def apply_idempotent(i: int, vec: EdgeVector) -> np.ndarray:
     """E_i applied to the vector, via E_i = sum_j D(i,j) A_j."""
-    if em is None:
-        st = vec.edges.structure
-        em = eigenmatrices(st.r, st.n)
-    elem = SchemeElement(basis="A", coeffs=tuple(em.D[i]))
-    return apply_scheme_element(elem, vec, em)
+    st = vec.edges.structure
+    em = eigenmatrices(st.r, st.n)
+    return apply_scheme_element(SchemeElement(basis="A", coeffs=tuple(em.D[i])), vec)

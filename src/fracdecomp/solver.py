@@ -23,13 +23,8 @@ from .graph_core import (
     check_admissible,
     threshold_c,
 )
-from .scheme import EdgeVector, apply_idempotent, eigenmatrices
-from .spectral import (
-    apply_mgamma,
-    apply_mgamma_eta_inverse,
-    apply_mgamma_inverse,
-    eta_star,
-)
+from .scheme import EdgeVector, apply_idempotent
+from .spectral import apply_mgamma, apply_mgamma_inverse, eta_star
 
 
 class SolveError(GraphError):
@@ -198,33 +193,24 @@ def apply_mg(y: np.ndarray, cliques: CliqueList, num_graph_edges: int) -> np.nda
 
 
 def apply_delta(z: np.ndarray, graph: MultipartiteGraph,
-                cliques: CliqueList | np.ndarray) -> np.ndarray:
+                cliques: CliqueList | np.ndarray, eta=None) -> np.ndarray:
     """Defect operator on a full host vector; missing-edge rows are zero.
 
     The host cliques split into those of G and the broken ones B, so on the
     E(G) rows M_G - M_Gamma = -(W_B W_B^T): the sum over the broken cliques.
-    `cliques` is G's clique list or only its `broken` incidence.
+    `cliques` is G's clique list or only its `broken` incidence. With an eta
+    shift, which cancels on the E(G) x E(G) block, the E_2 block against the
+    missing edges adds -eta E_2[G, miss] applied to z restricted to them.
     """
     broken = cliques.broken if isinstance(cliques, CliqueList) else cliques
     ng = graph.indexing.num_graph_edges
     out = np.zeros_like(z)
     out[:ng] = -_clique_sums(broken, z, z.size)[:ng]
-    return out
-
-
-def apply_delta_eta(z: np.ndarray, graph: MultipartiteGraph,
-                    cliques: CliqueList | np.ndarray, eta, em=None) -> np.ndarray:
-    """Eta-shifted defect operator.
-
-    The shift cancels on the E(G) x E(G) block; only the E_2 block against
-    the missing edges survives, applied here to z restricted to them.
-    """
-    out = apply_delta(z, graph, cliques)
-    ng = graph.indexing.num_graph_edges
-    zhat = np.zeros_like(z)
-    zhat[ng:] = z[ng:]
-    e2_tail = apply_idempotent(2, EdgeVector(graph.indexing, zhat), em)
-    out[:ng] -= float(eta) * e2_tail[:ng]
+    if eta is not None:
+        zhat = np.zeros_like(z)
+        zhat[ng:] = z[ng:]
+        e2_tail = apply_idempotent(2, EdgeVector(graph.indexing, zhat))
+        out[:ng] -= float(eta) * e2_tail[:ng]
     return out
 
 
@@ -267,22 +253,14 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
     if report is None:
         report = SolveReport()
     broken = cliques.broken if cliques is not None else broken_cliques(graph)
-    em = eigenmatrices(r, n)
-    if eta is None:
-        if r < s + 2:
-            raise SolveError(
-                "host operator singular at r = s+1; use the eta path")
-        minv = lambda v: apply_mgamma_inverse(r, s, n, EdgeVector(graph.indexing, v), em)
-        delta = lambda v: apply_delta(v, graph, broken)
-        mfull = lambda v: apply_mgamma(r, s, n, EdgeVector(graph.indexing, v), em)
-    else:
-        eta_f = float(eta)
-        report.eta = eta_f
-        minv = lambda v: apply_mgamma_eta_inverse(
-            r, s, n, eta, EdgeVector(graph.indexing, v), em)
-        delta = lambda v: apply_delta_eta(v, graph, broken, eta, em)
-        mfull = lambda v: (apply_mgamma(r, s, n, EdgeVector(graph.indexing, v), em)
-                           + eta_f * apply_idempotent(2, EdgeVector(graph.indexing, v), em))
+    if eta is None and r < s + 2:
+        raise SolveError("host operator singular at r = s+1; use the eta path")
+    if eta is not None:
+        report.eta = float(eta)
+    vec = lambda v: EdgeVector(graph.indexing, v)
+    minv = lambda v: apply_mgamma_inverse(r, s, n, vec(v), eta)
+    delta = lambda v: apply_delta(v, graph, broken, eta)
+    mfull = lambda v: apply_mgamma(r, s, n, vec(v), eta)
 
     m = graph.indexing.num_edges
     ones = np.ones(m)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .graph_core import GraphError, binom
 from .scheme import (
-    Eigenmatrices,
     EdgeVector,
     NUM_CLASSES,
     SchemeElement,
@@ -93,9 +92,27 @@ def spectrum(r: int, s: int, n: int, eta=None) -> SpectrumTable:
     return SpectrumTable(eigenvalues=tuple(lam), multiplicities=mult, eta=eta)
 
 
+def _a_basis(r: int, n: int, eigenvalues) -> SchemeElement:
+    """The element sum_i eigenvalues[i] E_i in the A-basis, exactly."""
+    em = eigenmatrices(r, n)
+    return SchemeElement(basis="A", coeffs=tuple(
+        sum(eigenvalues[i] * em.D[i][j] for i in range(NUM_CLASSES))
+        for j in range(NUM_CLASSES)))
+
+
+@lru_cache(maxsize=64)
+def _host_element(r: int, s: int, n: int, eta) -> SchemeElement:
+    """The host operator, plus eta E_2 when eta is given, in the A-basis.
+
+    The spectral sum of the eigenvalues; without eta it equals
+    `mgamma_element` exactly. Cached like `_inverse_element`.
+    """
+    return _a_basis(r, n, spectrum(r, s, n, eta=eta).eigenvalues)
+
+
 @lru_cache(maxsize=64)
 def _inverse_element(r: int, s: int, n: int, eta) -> SchemeElement:
-    """The inverse host operator in the A-basis.
+    """The inverse of the host operator (plus eta E_2) in the A-basis.
 
     Cached because every Minv apply of a solve needs it, and deriving the
     six coefficients in exact arithmetic costs more than the apply itself.
@@ -106,26 +123,18 @@ def _inverse_element(r: int, s: int, n: int, eta) -> SchemeElement:
     if not tab.invertible:
         raise GraphError(
             "operator is singular (r = s+1 needs a positive eta shift)")
-    em = eigenmatrices(r, n)
-    coeffs = tuple(
-        sum(em.D[i][j] / tab.eigenvalues[i] for i in range(NUM_CLASSES))
-        for j in range(NUM_CLASSES))
-    return SchemeElement(basis="A", coeffs=coeffs)
+    return _a_basis(r, n, [1 / lam for lam in tab.eigenvalues])
 
 
-def apply_mgamma(r: int, s: int, n: int, vec: EdgeVector,
-                 em: Eigenmatrices | None = None) -> np.ndarray:
-    return apply_scheme_element(mgamma_element(r, s, n), vec, em)
+def apply_mgamma(r: int, s: int, n: int, vec: EdgeVector, eta=None) -> np.ndarray:
+    """M applied to the vector, plus eta E_2 when eta is given (r = s+1 only)."""
+    return apply_scheme_element(_host_element(r, s, n, eta), vec)
 
 
 def apply_mgamma_inverse(r: int, s: int, n: int, vec: EdgeVector,
-                         em: Eigenmatrices | None = None) -> np.ndarray:
-    return apply_scheme_element(_inverse_element(r, s, n, None), vec, em)
-
-
-def apply_mgamma_eta_inverse(r: int, s: int, n: int, eta, vec: EdgeVector,
-                             em: Eigenmatrices | None = None) -> np.ndarray:
-    return apply_scheme_element(_inverse_element(r, s, n, eta), vec, em)
+                         eta=None) -> np.ndarray:
+    """The inverse of M (plus eta E_2 when eta is given) applied to the vector."""
+    return apply_scheme_element(_inverse_element(r, s, n, eta), vec)
 
 
 def norm_mgamma_inverse(r: int, s: int, n: int) -> Fraction:

@@ -7,6 +7,7 @@ import pytest
 from fracdecomp import cli, solver
 from fracdecomp.cli import (
     EXIT_INADMISSIBLE,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
@@ -329,12 +330,50 @@ class TestVerifyRejects:
         code, err = self._verify(solved, records, capsys)
         assert code == EXIT_USAGE and "error:" in err
 
+    @pytest.mark.parametrize("weight", [True, False])
+    def test_malformed_weight_entries_exit_one(self, solved, capsys, weight):
+        records = solved[2]
+        records[1]["weight"] = weight
+        code, err = self._verify(solved, records, capsys)
+        assert code == EXIT_USAGE and "error:" in err
+
     def test_read_weights_matches_nested_build(self, solved):
         records = solved[2]
         cliques, weights = _read_weights(records, 3)
         want = np.array([rec["clique"] for rec in records])
         assert cliques.dtype == np.int64 and np.array_equal(cliques, want)
         assert np.array_equal(weights, [rec["weight"] for rec in records])
+
+
+class TestBench:
+    def _bench(self, capsys, *args):
+        code = run(["bench", *args])
+        return code, capsys.readouterr()
+
+    def test_plain_regime(self, capsys):
+        code, out = self._bench(capsys, "-r", "5", "-s", "3", "--n-values", "2",
+                                "--defects", "1")
+        assert code == EXIT_OK
+        rows = json.loads(out.out)
+        assert [(row["n"], row["edges"]) for row in rows] == [(2, 40)]
+        assert isinstance(rows[0]["dense_s"], float)
+
+    def test_eta_regime_shifts_the_dense_solve(self, capsys):
+        code, out = self._bench(capsys, "-r", "4", "-s", "3", "--n-values", "2", "3")
+        assert code == EXIT_OK
+        rows = json.loads(out.out)
+        assert [row["n"] for row in rows] == [2, 3]
+        assert all(isinstance(row["dense_s"], float) for row in rows)
+
+    def test_negative_weight_exits_three(self, capsys):
+        code, out = self._bench(capsys, "-r", "5", "-s", "4", "--n-values", "2",
+                                "--defects", "1")
+        assert code == EXIT_VERIFY_FAILED and "clique weight" in out.err
+
+    def test_non_convergence_exits_four(self, capsys):
+        code, out = self._bench(capsys, "-r", "5", "-s", "3", "--n-values", "3",
+                                "--defects", "3", "--max-iter", "1")
+        assert code == EXIT_NO_CONVERGENCE and "no convergence" in out.err
 
 
 class TestInspectionCommands:

@@ -1,4 +1,5 @@
-"""Property tests: the solver's cliques and defect operator against the oracle.
+"""Property tests: the solver's cliques and defect operator against the oracle,
+the graph JSON round trip, and admissibility under transversal deletion.
 
 Random small hosts (r, s, n) with random missing-edge sets; the examples are
 fixed by the hypothesis profile in conftest.py.
@@ -9,8 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracdecomp import oracle
-from fracdecomp.graph_core import make_complete
-from fracdecomp.solver import apply_delta, apply_delta_eta, enumerate_cliques
+from fracdecomp.graph_core import (
+    MultipartiteGraph,
+    check_admissible,
+    generate_admissible_instance,
+    make_complete,
+)
+from fracdecomp.solver import apply_delta, enumerate_cliques
 from fracdecomp.spectral import eta_star
 
 
@@ -46,4 +52,36 @@ def test_delta_eta_matches_dense(g, seed):
     z = np.random.default_rng(seed).standard_normal(g.structure.num_edges)
     cl = enumerate_cliques(g)
     dm = oracle.dense_delta(g, eta=float(eta))
-    assert np.abs(apply_delta_eta(z, g, cl, eta) - dm @ z).max() < 1e-9
+    assert np.abs(apply_delta(z, g, cl, eta) - dm @ z).max() < 1e-9
+
+
+@given(defected_graphs(max_s=5))
+def test_json_round_trip(g):
+    back = MultipartiteGraph.from_json(g.to_json())
+    assert back.structure == g.structure and back.missing == g.missing
+    assert np.array_equal(back.indexing.order, g.indexing.order)
+
+
+@st.composite
+def transversal_deletions(draw):
+    """An r = s+1 generator instance with budget < n and a transversal clique
+    vertex-disjoint from the ones it already lost."""
+    s = draw(st.integers(3, 5))
+    n = draw(st.integers(2, 6))
+    budget = draw(st.integers(0, n - 1))
+    g = generate_admissible_instance(s + 1, s, n, budget,
+                                     seed=draw(st.integers(0, 2 ** 32 - 1)))
+    used = {v for e in g.missing for v in e}
+    transversal = [(p, draw(st.sampled_from(
+        [i for i in range(n) if (p, i) not in used]))) for p in range(s + 1)]
+    return g, transversal
+
+
+@given(transversal_deletions())
+def test_transversal_deletion_keeps_admissibility(case):
+    g, transversal = case
+    before = check_admissible(g)
+    after = check_admissible(g.delete_transversal_clique(transversal))
+    assert before.admissible and after.admissible
+    assert all(after.pair_counts[pp] == cnt - 1
+               for pp, cnt in before.pair_counts.items())

@@ -181,15 +181,14 @@ class TestMatrixFreeOperators:
 
     def test_idempotents_resolve_identity(self, host_4_2):
         ed, _ = host_4_2
-        em = eigenmatrices(4, 2)
         rng = np.random.default_rng(3)
         v = rng.standard_normal(ed.num_edges)
-        parts = [apply_idempotent(i, EdgeVector(ed, v), em)
+        parts = [apply_idempotent(i, EdgeVector(ed, v))
                  for i in range(NUM_CLASSES)]
         assert np.abs(sum(parts) - v).max() < 1e-9
         for i in range(NUM_CLASSES):
             for j in range(NUM_CLASSES):
-                again = apply_idempotent(i, EdgeVector(ed, parts[j]), em)
+                again = apply_idempotent(i, EdgeVector(ed, parts[j]))
                 target = parts[j] if i == j else 0.0
                 assert np.abs(again - target).max() < 1e-9
 
@@ -242,10 +241,9 @@ class TestLemmaStyleSpectra:
 
 def test_apply_scheme_element_linearity():
     ed = make_complete(5, 3, 2).indexing
-    em = eigenmatrices(5, 2)
     rng = np.random.default_rng(4)
     v = rng.standard_normal(ed.num_edges)
     elem = SchemeElement(basis="E", coeffs=tuple(Fraction(k) for k in range(6)))
-    out = apply_scheme_element(elem, EdgeVector(ed, v), em)
-    expect = sum(k * apply_idempotent(k, EdgeVector(ed, v), em) for k in range(6))
+    out = apply_scheme_element(elem, EdgeVector(ed, v))
+    expect = sum(k * apply_idempotent(k, EdgeVector(ed, v)) for k in range(6))
     assert np.abs(out - expect).max() < 1e-9

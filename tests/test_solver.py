@@ -15,7 +15,6 @@ from fracdecomp.solver import (
     SolveError,
     VerificationFailed,
     apply_delta,
-    apply_delta_eta,
     apply_mg,
     decompose,
     enumerate_cliques,
@@ -141,7 +140,7 @@ class TestApplyDelta:
         dm = oracle.dense_delta(g, eta=float(eta))
         rng = np.random.default_rng(5)
         z = rng.standard_normal(g.structure.num_edges)
-        assert np.abs(apply_delta_eta(z, g, cl, eta) - dm @ z).max() < 1e-9
+        assert np.abs(apply_delta(z, g, cl, eta) - dm @ z).max() < 1e-9
 
     def test_eta_variant_equals_plain_on_graph_support(self):
         g = generate_admissible_instance(4, 3, 4, 1, seed=6)
@@ -150,7 +149,7 @@ class TestApplyDelta:
         z = np.zeros(g.structure.num_edges)
         z[:ng] = np.random.default_rng(7).standard_normal(ng)
         plain = apply_delta(z, g, cl)
-        shifted = apply_delta_eta(z, g, cl, eta_star(3, 4))
+        shifted = apply_delta(z, g, cl, eta_star(3, 4))
         assert np.abs(plain - shifted).max() < 1e-10
 
     def test_shared_broken_clique_matches_dense(self):
@@ -166,7 +165,7 @@ class TestApplyDelta:
         cl = enumerate_cliques(g)
         dm = oracle.dense_delta(g, eta=float(eta))
         z = np.random.default_rng(11).standard_normal(g.structure.num_edges)
-        assert np.abs(apply_delta_eta(z, g, cl, eta) - dm @ z).max() < 1e-9
+        assert np.abs(apply_delta(z, g, cl, eta) - dm @ z).max() < 1e-9
 
     def test_missing_rows_are_zero(self):
         g = generate_admissible_instance(5, 3, 4, 3, seed=8)

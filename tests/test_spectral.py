@@ -5,10 +5,9 @@ import pytest
 
 from fracdecomp import oracle, spectral
 from fracdecomp.graph_core import GraphError, binom, make_complete
-from fracdecomp.scheme import EdgeVector, eigenmatrices
+from fracdecomp.scheme import EdgeVector, apply_idempotent, eigenmatrices
 from fracdecomp.spectral import (
     apply_mgamma,
-    apply_mgamma_eta_inverse,
     apply_mgamma_inverse,
     eta_star,
     mgamma_element,
@@ -101,14 +100,12 @@ class TestInverseApplication:
 
     def test_eta_inverse_round_trip(self):
         ed = make_complete(4, 3, 2).indexing
-        em = eigenmatrices(4, 2)
         eta = eta_star(3, 2)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(ed.num_edges)
-        inv = apply_mgamma_eta_inverse(4, 3, 2, eta, EdgeVector(ed, v), em)
-        from fracdecomp.scheme import apply_idempotent
-        back = (apply_mgamma(4, 3, 2, EdgeVector(ed, inv), em)
-                + float(eta) * apply_idempotent(2, EdgeVector(ed, inv), em))
+        inv = apply_mgamma_inverse(4, 3, 2, EdgeVector(ed, v), eta)
+        back = (apply_mgamma(4, 3, 2, EdgeVector(ed, inv))
+                + float(eta) * apply_idempotent(2, EdgeVector(ed, inv)))
         assert np.abs(back - v).max() < 1e-9
 
     def test_inverse_element_cached_per_key(self):
@@ -123,6 +120,46 @@ class TestInverseApplication:
         ed = make_complete(4, 3, 2).indexing
         with pytest.raises(GraphError):
             apply_mgamma_inverse(4, 3, 2, EdgeVector(ed, np.ones(ed.num_edges)))
+
+
+class TestHostOperator:
+    @pytest.mark.parametrize("r,s,n", [(4, 3, 2), (5, 4, 2)])
+    def test_eta_adds_shifted_idempotent(self, r, s, n):
+        ed = make_complete(r, s, n).indexing
+        eta = eta_star(s, n)
+        v = np.random.default_rng(12).standard_normal(ed.num_edges)
+        shifted = apply_mgamma(r, s, n, EdgeVector(ed, v), eta)
+        expect = (apply_mgamma(r, s, n, EdgeVector(ed, v))
+                  + float(eta) * apply_idempotent(2, EdgeVector(ed, v)))
+        assert np.abs(shifted - expect).max() < 1e-12
+
+    def test_host_element_cached_per_key(self):
+        first = spectral._host_element(5, 3, 2, None)
+        assert spectral._host_element(5, 3, 2, None) is first
+        assert first == spectral._host_element.__wrapped__(5, 3, 2, None)
+        eta = eta_star(3, 2)
+        assert (spectral._host_element(4, 3, 2, eta)
+                != spectral._host_element(4, 3, 2, 2 * eta))
+
+    def test_host_element_equals_closed_form(self):
+        for r in range(4, 10):
+            for s in range(3, r):
+                for n in range(1, 7):
+                    want = list(mgamma_element(r, s, n).coeffs)
+                    eta = eta_star(s, n) if r == s + 1 else None
+                    if eta is not None:
+                        d2 = eigenmatrices(r, n).D[2]
+                        want = [a + eta * d for a, d in zip(want, d2)]
+                    got = spectral._host_element.__wrapped__(r, s, n, eta)
+                    assert got.basis == "A"
+                    assert all(isinstance(c, Fraction) for c in got.coeffs)
+                    assert list(got.coeffs) == want, (r, s, n)
+
+    @pytest.mark.parametrize("apply", [apply_mgamma, apply_mgamma_inverse])
+    def test_eta_rejected_off_regime(self, apply):
+        ed = make_complete(5, 3, 2).indexing
+        with pytest.raises(GraphError):
+            apply(5, 3, 2, EdgeVector(ed, np.ones(ed.num_edges)), Fraction(1))
 
 
 class TestNormFormulas:
