@@ -26,7 +26,6 @@ from .graph_core import (
     check_admissible,
     generate_admissible_instance,
     make_complete,
-    threshold_c,
 )
 
 EXIT_OK = 0
@@ -92,7 +91,8 @@ def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
     The text is json.dumps of the list of {"clique": [[part, index], ...],
     "weight": w} records, built chunk by chunk from the block index arrays
     through one vertex-string table per block, so no record object and no
-    whole-file string exists at any time.
+    whole-file string exists at any time. The blocks are built one at a
+    time from the implicit decomposition.
     """
     with open(path, "w") if path else nullcontext(sys.stdout) as fh:
         sep = "["
@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
         # the parsed records are freed as soon as the arrays are built
         cliques, weights = _read_weights(json.load(fh), g.structure.s)
     err, worst = solver.verify_cliques(
-        g, [(cliques[:, :, 0], cliques[:, :, 1], weights)])
+        g, solver.bin_cliques(g, [(cliques[:, :, 0], cliques[:, :, 1], weights)]))
     result = {
         "max_edge_sum_error": err,
         "worst_edge": [list(v) for v in worst] if worst else None,

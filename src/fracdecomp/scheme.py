@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph_core import EdgeIndexing, EdgeKey, GraphError, PartiteStructure, binom
+from .graph_core import EdgeIndexing, EdgeKey, GraphError, binom
 
 NUM_CLASSES = 6
 

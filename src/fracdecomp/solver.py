@@ -1,18 +1,20 @@
 """End-to-end fractional clique decomposition pipeline.
 
-Enumerates the K_s copies of G as integer index arrays, one block per part
-subset, applies the defect operator through the host cliques that G lost,
-runs the contractive fixed-point iteration for the block system, extracts
-per-clique weights, and verifies the decomposition edge by edge with the
-block verifier that the CLI shares.
+Finds the K_s copies of G as one boolean n^s mask cube per part subset,
+applies the defect operator through the host cliques that G lost, runs the
+contractive fixed-point iteration for the block system, and holds the
+decomposition implicitly as the edge solution y, whose weight cubes are
+built block by block on demand. The decomposition is verified edge by edge
+by axis sums over those cubes, in the verifier that the CLI shares.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -47,20 +49,57 @@ class VerificationFailed(SolveError):
 class CliqueList:
     """The K_s copies of G, block by block, plus the host cliques G lost.
 
-    `blocks` holds one (parts, index) pair per part subset that has cliques,
-    in lexicographic order of the subsets; row k of `index` is the clique
-    with vertex (parts[j], index[k, j]) in column j, rows in lexicographic
-    order. `broken` lists the C(s,2) G-first edge indices of the host
-    cliques that contain at least one missing edge, each exactly once: the
-    defect operator needs only those.
+    A block is a part subset that has cliques, in lexicographic order of the
+    subsets. Its cliques are the True cells of one boolean n^s mask cube:
+    cell (i_0, ..., i_{s-1}) is the clique with vertex (parts[j], i_j) in
+    column j. The masks are rebuilt from G's missing edges on every pass,
+    one block at a time, so nothing is stored per clique. `broken` lists the
+    C(s,2) G-first edge indices of the host cliques that contain at least
+    one missing edge, each exactly once: the defect operator needs only those.
     """
 
-    blocks: list[tuple[tuple[int, ...], np.ndarray]]
     broken: np.ndarray  # shape (|B|, C(s,2))
     graph: MultipartiteGraph = field(repr=False)
 
+    @cached_property
+    def _edge_masks(self) -> dict:
+        """The n x n "is an edge of G" mask of each part pair with missing edges."""
+        n = self.graph.structure.n
+        edges = {}
+        for pp, cells in _missing_by_pair(self.graph).items():
+            edges[pp] = np.ones((n, n), dtype=bool)
+            edges[pp][tuple(cells)] = False
+        return edges
+
+    def masks(self):
+        """(parts, mask) per block.
+
+        The mask is the AND of the C(s,2) edge masks of the block's part
+        pairs, each broadcast along its two axes.
+        """
+        st = self.graph.structure
+        r, s, n = st.r, st.s, st.n
+        edges = self._edge_masks
+        for parts in combinations(range(r), s):
+            mask = np.ones((n,) * s, dtype=bool)
+            for a, b in combinations(range(s), 2):
+                if (parts[a], parts[b]) in edges:
+                    mask &= _on_axes(edges[(parts[a], parts[b])], a, b, s)
+            if mask.any():
+                yield parts, mask
+
     def __len__(self):
-        return sum(index.shape[0] for _, index in self.blocks)
+        return sum(int(np.count_nonzero(mask)) for _, mask in self.masks())
+
+    @property
+    def blocks(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """(parts, index) per block: the (K_b, s) cells of its mask, rows in
+        lexicographic order.
+
+        Built on each access; the solve, the weights and the verifier never
+        need it.
+        """
+        return [(parts, np.argwhere(mask)) for parts, mask in self.masks()]
 
     @property
     def incidence(self) -> np.ndarray:
@@ -96,11 +135,13 @@ def _on_axes(mat: np.ndarray, a: int, b: int, s: int) -> np.ndarray:
 
 
 def _missing_by_pair(graph: MultipartiteGraph) -> dict:
-    """Per part pair (p1, p2), the (i1, i2) index arrays of its missing edges."""
-    grouped: dict = {}
-    for (p1, i1), (p2, i2) in graph.missing:
-        grouped.setdefault((p1, p2), []).append((i1, i2))
-    return {pp: np.asarray(sorted(v), dtype=np.int64).T for pp, v in grouped.items()}
+    """Per part pair (p1, p2), the (i1, i2) index arrays of its missing edges, sorted."""
+    edges = np.fromiter(chain.from_iterable(chain.from_iterable(graph.missing)),
+                        dtype=np.int64, count=4 * len(graph.missing)).reshape(-1, 4)
+    edges = edges[np.lexsort(edges.T[::-1])]
+    pairs = edges[:, 0] * graph.structure.r + edges[:, 2]
+    return {divmod(int(pp), graph.structure.r): edges[pairs == pp][:, [1, 3]].T
+            for pp in np.unique(pairs)}
 
 
 def _block_broken(n: int, parts, missing: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -151,25 +192,10 @@ def enumerate_cliques(graph: MultipartiteGraph) -> CliqueList:
     """The K_s copies of G and the broken host cliques, block by block.
 
     On a part subset, the cliques of G are the cells of the n^s cube where
-    all C(s,2) "is an edge of G" masks hold, each mask broadcast along its
-    two axes; the nonzero cells come in lexicographic order. Complete and
-    duplicate-free by construction.
+    all C(s,2) "is an edge of G" masks hold; `CliqueList.masks` builds those
+    cubes on demand, so only the broken cliques are built here.
     """
-    st = graph.structure
-    r, s, n = st.r, st.s, st.n
-    missing = _missing_by_pair(graph)
-    blocks = []
-    for parts in combinations(range(r), s):
-        cube = np.ones((n,) * s, dtype=bool)
-        for a, b in combinations(range(s), 2):
-            if (parts[a], parts[b]) in missing:
-                edge = np.ones((n, n), dtype=bool)
-                edge[tuple(missing[(parts[a], parts[b])])] = False
-                cube &= _on_axes(edge, a, b, s)
-        index = np.argwhere(cube)
-        if index.shape[0]:
-            blocks.append((parts, index))
-    return CliqueList(blocks=blocks, broken=broken_cliques(graph), graph=graph)
+    return CliqueList(broken=broken_cliques(graph), graph=graph)
 
 
 def _edge_sums(v: np.ndarray, inc: np.ndarray) -> np.ndarray:
@@ -228,6 +254,10 @@ class SolveReport:
     max_edge_sum_error: float = float("nan")
     eta: float | None = None
     verified: bool = False  # max_edge_sum_error < VERIFY_TOL
+    num_edges: int = 0  # |E(G)|
+    num_missing: int = 0
+    num_broken: int = 0  # host cliques through a missing edge
+    num_cliques: int = 0  # K_s copies of G
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -294,20 +324,57 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
 class FractionalDecomposition:
     """Nonnegative weights on the K_s copies of G; edge sums should be 1.
 
-    `weights[k]` belongs to the k-th clique in the block order of
-    `cliques.blocks`.
+    Held implicitly as the clique list and the edge solution y on E(G), in
+    G-first order: w(K) is the sum of y over the edges of K. Every view of
+    the weights (`cubes`, `blocks`, `items`, `weights`) is built on demand,
+    one block at a time, in the block order of `cliques.masks()`.
     """
 
     cliques: CliqueList
-    weights: np.ndarray
+    y: np.ndarray
+
+    def cubes(self):
+        """(parts, mask, weights) per block, weights an n^s cube that is 0 off the mask.
+
+        Every cell of the cube is the broadcast sum of the C(s,2) n x n
+        slices of y in host order (0 on missing edges), added in column pair
+        order. Weights in [-CLIP_TOL, 0) on the mask are floating-point
+        noise and are clipped; anything more negative raises NegativeWeight.
+        Entries of y may be negative.
+        """
+        graph = self.cliques.graph
+        st = graph.structure
+        s, n = st.s, st.n
+        ed = graph.indexing
+        host = np.zeros(ed.num_edges)
+        host[ed.order[:ed.num_graph_edges]] = self.y
+        host = host.reshape(-1, n, n)
+        pair_pos = {pp: t for t, pp in enumerate(st.part_pairs())}
+        for parts, mask in self.cliques.masks():
+            terms = (_on_axes(host[pair_pos[(parts[a], parts[b])]], a, b, s)
+                     for a, b in combinations(range(s), 2))
+            cube = np.empty(mask.shape)
+            cube[...] = next(terms)
+            for term in terms:
+                cube += term
+            cube *= mask  # off the mask 0, which is above -CLIP_TOL
+            worst = float(cube.min())
+            if worst < -CLIP_TOL:
+                raise NegativeWeight(
+                    f"clique weight {worst:.3e} below -{CLIP_TOL:.0e}")
+            np.clip(cube, 0.0, None, out=cube)
+            yield parts, mask, cube
+
+    @cached_property
+    def min_weight(self) -> float:
+        """The least clique weight, 0.0 without cliques; one pass over `cubes`."""
+        return min((float(np.min(cube, where=mask, initial=np.inf))
+                    for _, mask, cube in self.cubes()), default=0.0)
 
     def blocks(self):
-        """(parts, index, weights) per block of cliques."""
-        start = 0
-        for parts, index in self.cliques.blocks:
-            stop = start + index.shape[0]
-            yield parts, index, self.weights[start:stop]
-            start = stop
+        """(parts, index, weights) per block, index rows in lexicographic order."""
+        for parts, mask, cube in self.cubes():
+            yield parts, np.argwhere(mask), cube[mask]
 
     def items(self):
         """(clique, weight) pairs, streamed block by block.
@@ -321,72 +388,48 @@ class FractionalDecomposition:
             for row, w in zip(index.tolist(), weights.tolist()):
                 yield tuple(map(list.__getitem__, vertices, row)), w
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Every clique's weight in block order, as one array built on each access.
+
+        Read-only, because writing to a copy would change no weight.
+        """
+        w = np.concatenate([np.zeros(0)] + [cube[mask] for _, mask, cube in self.cubes()])
+        w.flags.writeable = False
+        return w
+
 
 CLIP_TOL = 1e-12
 VERIFY_TOL = 1e-8  # largest |edge sum - 1| of a verified decomposition
 
 
 def extract_weights(y: np.ndarray, cliques: CliqueList) -> FractionalDecomposition:
-    """Clique weights w(K) = sum of y over the edges of K.
+    """The decomposition w(K) = sum of y over the edges of K, checked for sign.
 
-    y is indexed by the edges of G in G-first order. Per block, the weights
-    of every cell of the n^s cube are the broadcast sum of the C(s,2) n x n
-    slices of y in host order (0 on missing edges), added in the column
-    pair order of the incidence, and the cliques take their cells.
-    Weights in [-CLIP_TOL, 0) are floating-point noise and are clipped;
-    anything more negative is a hard failure. Entries of y may be negative.
+    y is indexed by the edges of G in G-first order; entries of y may be
+    negative. One pass over the weight cubes applies the NegativeWeight
+    rule of `FractionalDecomposition.cubes` to every clique and records the
+    least weight; no per-clique array is kept.
     """
-    graph = cliques.graph
-    st = graph.structure
-    s, n = st.s, st.n
-    ed = graph.indexing
-    host = np.zeros(ed.num_edges)
-    host[ed.order[:ed.num_graph_edges]] = y
-    host = host.reshape(-1, n, n)
-    pair_pos = {pp: t for t, pp in enumerate(st.part_pairs())}
-    w = np.empty(len(cliques))
-    start = 0
-    for parts, index in cliques.blocks:
-        terms = (_on_axes(host[pair_pos[(parts[a], parts[b])]], a, b, s)
-                 for a, b in combinations(range(s), 2))
-        cube = np.empty((n,) * s)
-        cube[...] = next(terms)
-        for term in terms:
-            cube += term
-        w[start:start + index.shape[0]] = cube[tuple(index.T)]
-        start += index.shape[0]
-    worst = float(w.min()) if w.size else 0.0
-    if worst < -CLIP_TOL:
-        raise NegativeWeight(
-            f"clique weight {worst:.3e} below -{CLIP_TOL:.0e}")
-    np.clip(w, 0.0, None, out=w)
-    return FractionalDecomposition(cliques=cliques, weights=w)
+    decomp = FractionalDecomposition(cliques=cliques, y=y)
+    decomp.min_weight  # the pass that raises NegativeWeight
+    return decomp
 
 
-def verify_cliques(graph: MultipartiteGraph, blocks) -> tuple[float, EdgeKey | None]:
-    """Check weighted cliques against G edge by edge.
+def bin_cliques(graph: MultipartiteGraph, blocks):
+    """Count and weight-sum cubes of a stream of weighted index rows.
 
     `blocks` yields (parts, index, weights) with `index` a (K, s) integer
     array of vertex indices, `parts` either a (K, s) array of their parts or
     one sequence of s parts shared by the block, and `weights` of shape (K,).
-    Edge ids come from this function's own (part, index) arithmetic, not
-    from the solver's incidence. Raises VerificationFailed on a vertex
-    outside the host, two vertices in one part, a negative or non-finite
-    weight, a clique through a missing edge, or an edge of G in no clique.
-    Returns the largest |edge sum - 1| over E(G) and an edge attaining it.
+    Each row is sorted by part, and the rows of each part subset are binned
+    into the (parts, counts, sums) cubes that `verify_cliques` checks by
+    np.bincount over their flat cell ids. Raises VerificationFailed on
+    a malformed shape, a vertex outside the host, two vertices in one part,
+    or a negative or non-finite weight.
     """
     st = graph.structure
     r, s, n = st.r, st.s, st.n
-    pair_id = np.zeros((r, r), dtype=np.int64)
-    for t, (p, q) in enumerate(combinations(range(r), 2)):
-        pair_id[p, q] = pair_id[q, p] = t
-    size = st.num_edges
-    missing = np.zeros(size, dtype=bool)
-    for (p1, i1), (p2, i2) in graph.missing:
-        missing[(pair_id[p1, p2] * n + i1) * n + i2] = True
-    cover = np.zeros(size)
-    covered = np.zeros(size, dtype=bool)
-
     for parts, index, weights in blocks:
         index = np.asarray(index, dtype=np.int64)
         parts = np.asarray(parts, dtype=np.int64)
@@ -405,20 +448,84 @@ def verify_cliques(graph: MultipartiteGraph, blocks) -> tuple[float, EdgeKey | N
         if not (weights.min() >= 0 and np.isfinite(weights.max())):
             _reject("has a negative or non-finite weight", parts, index,
                     ~(np.isfinite(weights) & (weights >= 0)))
-        if parts.ndim == 2:  # one row of parts per clique: sort each by part
-            order = np.argsort(parts, axis=1, kind="stable")
+        order = np.argsort(parts, axis=-1, kind="stable")
+        if parts.ndim == 1:
+            parts, index = np.broadcast_to(parts[order], index.shape), index[:, order]
+        else:
             parts = np.take_along_axis(parts, order, axis=1)
             index = np.take_along_axis(index, order, axis=1)
-        for a, b in combinations(range(s), 2):
-            pa, pb = parts[..., a], parts[..., b]
-            if np.any(pa == pb):
-                _reject("has two vertices in one part", parts, index, pa == pb)
-            ids = (pair_id[pa, pb] * n + index[:, a]) * n + index[:, b]
-            if missing[ids].any():
-                _reject("uses a missing edge", parts, index, missing[ids])
-            cover += np.bincount(ids, weights=weights, minlength=size)
-            covered[ids] = True
+        same = parts[:, 1:] == parts[:, :-1]
+        if same.any():
+            _reject("has two vertices in one part", parts, index, same.any(axis=1))
+        cells = np.ravel_multi_index(tuple(index.T), (n,) * s)
+        subset = parts @ r ** np.arange(s - 1, -1, -1)
+        by_subset = np.argsort(subset, kind="stable")
+        subset, cells, weights = subset[by_subset], cells[by_subset], weights[by_subset]
+        starts = np.flatnonzero(np.diff(subset, prepend=-1))
+        for lo, hi in zip(starts, [*starts[1:], subset.size]):
+            yield (tuple(parts[by_subset[lo]].tolist()),
+                   np.bincount(cells[lo:hi], minlength=n ** s).reshape((n,) * s),
+                   np.bincount(cells[lo:hi], weights=weights[lo:hi],
+                               minlength=n ** s).reshape((n,) * s))
 
+
+def verify_cliques(graph: MultipartiteGraph, cubes) -> tuple[float, EdgeKey | None]:
+    """Check per-block clique count and weight-sum cubes against G edge by edge.
+
+    `cubes` yields (parts, counts, sums) per block: s parts in any order and
+    two n^s arrays whose cell (i_0, ..., i_{s-1}) holds the number and the
+    total weight of the cliques with vertex (parts[j], i_j) in each column
+    j. A library decomposition passes its mask and weight cubes (`cubes()`)
+    straight in; index-row streams are binned by `bin_cliques` first. The
+    missing edges come from `graph.missing` through this function's own
+    (part, index) arithmetic, not from the solver's masks. On the part pair
+    of axes (a, b), the edge sums are the weight cube summed over the other
+    s-2 axes, and an edge lies in a clique where the count cube is nonzero
+    along them. Raises VerificationFailed on a vertex outside the host, two
+    vertices in one part, a negative or non-finite weight, a clique through
+    a missing edge, or an edge of G in no clique. Returns the largest
+    |edge sum - 1| over E(G) and an edge attaining it.
+    """
+    st = graph.structure
+    r, s, n = st.r, st.s, st.n
+    pair_id = np.zeros((r, r), dtype=np.int64)
+    for t, (p, q) in enumerate(combinations(range(r), 2)):
+        pair_id[p, q] = pair_id[q, p] = t
+    shape = (r * (r - 1) // 2, n, n)
+    missing = np.zeros(shape, dtype=bool)
+    p1, i1, p2, i2 = np.array([[p, i, q, j] for (p, i), (q, j) in graph.missing],
+                              dtype=np.int64).reshape(-1, 4).T
+    missing[pair_id[p1, p2], i1, i2] = True
+    cover = np.zeros(shape)
+    covered = np.zeros(shape, dtype=bool)
+
+    for parts, counts, sums in cubes:
+        parts = np.asarray(parts, dtype=np.int64)
+        counts, sums = np.asarray(counts), np.asarray(sums, dtype=float)
+        if parts.shape != (s,) or counts.shape != (n,) * s or sums.shape != counts.shape:
+            raise VerificationFailed(
+                f"block of parts of shape {parts.shape} with cubes of shape "
+                f"{counts.shape} and {sums.shape}")
+        if parts.min() < 0 or parts.max() >= r:
+            _reject_cell("has a vertex outside the host", parts, counts != 0)
+        order = np.argsort(parts, kind="stable")
+        parts, counts, sums = parts[order], counts.transpose(order), sums.transpose(order)
+        if np.any(parts[1:] == parts[:-1]):
+            _reject_cell("has two vertices in one part", parts, counts != 0)
+        if not (sums.min() >= 0 and np.isfinite(sums.max())):
+            _reject_cell("has a negative or non-finite weight", parts,
+                         ~(np.isfinite(sums) & (sums >= 0)))
+        for a, b in combinations(range(s), 2):
+            other = tuple(c for c in range(s) if c not in (a, b))
+            t = pair_id[parts[a], parts[b]]
+            hit = counts.any(axis=other)
+            if (hit & missing[t]).any():
+                _reject_cell("uses a missing edge", parts,
+                             (counts != 0) & _on_axes(missing[t], a, b, s))
+            covered[t] |= hit
+            cover[t] += sums.sum(axis=other)
+
+    missing, cover, covered = missing.ravel(), cover.ravel(), covered.ravel()
     edges = np.flatnonzero(~missing)
     if edges.size == 0:
         return 0.0, None
@@ -439,6 +546,12 @@ def _reject(what: str, parts: np.ndarray, index: np.ndarray, rows):
     raise VerificationFailed(f"clique {clique} {what}")
 
 
+def _reject_cell(what: str, parts: np.ndarray, cells: np.ndarray):
+    """Raise VerificationFailed naming the first cube cell where cells holds."""
+    cell = np.unravel_index(int(np.argmax(cells)), cells.shape)
+    _reject(what, parts, np.array([cell]), True)
+
+
 def _edge_of(e: int, r: int, n: int) -> EdgeKey:
     """The edge with lexicographic id e: pair number, then (i1, i2)."""
     pair, rest = divmod(int(e), n * n)
@@ -450,10 +563,11 @@ def verify_decomposition(graph: MultipartiteGraph,
                          decomp: FractionalDecomposition) -> float:
     """Max deviation of any per-edge weight sum from 1, recomputed from scratch.
 
-    Runs the shared block verifier, so it also raises VerificationFailed on a
-    negative weight, a clique through a missing edge or an uncovered edge.
+    Passes the decomposition's mask and weight cubes to the shared verifier,
+    so it also raises VerificationFailed on a negative weight, a clique
+    through a missing edge or an uncovered edge.
     """
-    return verify_cliques(graph, decomp.blocks())[0]
+    return verify_cliques(graph, decomp.cubes())[0]
 
 
 def decompose(graph: MultipartiteGraph, tol: float = 1e-10, max_iter: int = 200,
@@ -487,6 +601,10 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-10, max_iter: int = 200,
 
     t1 = time.perf_counter()
     cliques = enumerate_cliques(graph)
+    report.num_edges = graph.indexing.num_graph_edges
+    report.num_missing = len(graph.missing)
+    report.num_broken = len(cliques.broken)
+    report.num_cliques = len(cliques)
     report.timings["enumerate"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -497,7 +615,7 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-10, max_iter: int = 200,
     t3 = time.perf_counter()
     ng = graph.indexing.num_graph_edges
     decomp = extract_weights(z[:ng], cliques)
-    report.min_weight = float(decomp.weights.min()) if len(cliques) else 0.0
+    report.min_weight = decomp.min_weight
     report.max_edge_sum_error = verify_decomposition(graph, decomp)
     report.verified = report.max_edge_sum_error < VERIFY_TOL
     report.timings["verify"] = time.perf_counter() - t3

@@ -90,6 +90,17 @@ class TestDecomposeAndVerify:
         assert run(["verify", "--input", str(graph_file),
                     "--weights", str(weights)]) == EXIT_OK
 
+    def test_report_sizes(self, graph_file, tmp_path):
+        weights, report = tmp_path / "weights.json", tmp_path / "report.json"
+        assert run(["decompose", "--input", str(graph_file), "--output", str(weights),
+                    "--report", str(report), "--include-zero-weights"]) == EXIT_OK
+        rep = json.loads(report.read_text())
+        missing = len(json.loads(graph_file.read_text())["missing_edges"])
+        assert rep["num_missing"] == missing
+        assert rep["num_edges"] == 6 * 16 - missing
+        assert rep["num_cliques"] == len(json.loads(weights.read_text()))
+        assert rep["num_broken"] > 0
+
     def test_deterministic_weights_file(self, graph_file, tmp_path):
         w1, w2 = tmp_path / "w1.json", tmp_path / "w2.json"
         for w in (w1, w2):
@@ -191,7 +202,16 @@ class TestWeightsFile:
 
         def with_zeros(*args, **kwargs):
             decomp, rep = real(*args, **kwargs)
-            decomp.weights[:count] = 0.0
+            cubes = decomp.cubes
+
+            def zeroed():  # the first `count` cliques in block order weigh 0
+                left = count
+                for parts, mask, cube in cubes():
+                    cells = np.flatnonzero(mask)[:left]
+                    cube.reshape(-1)[cells] = 0.0
+                    left -= cells.size
+                    yield parts, mask, cube
+            monkeypatch.setattr(decomp, "cubes", zeroed)
             return decomp, rep
         monkeypatch.setattr(solver, "decompose", with_zeros)
 

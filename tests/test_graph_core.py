@@ -7,7 +7,6 @@ import pytest
 from fracdecomp.graph_core import (
     GraphError,
     MultipartiteGraph,
-    PartiteStructure,
     binom,
     check_admissible,
     edge_key,

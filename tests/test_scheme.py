@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest

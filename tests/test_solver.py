@@ -9,13 +9,13 @@ from fracdecomp.graph_core import (
     make_complete,
 )
 from fracdecomp.solver import (
-    FractionalDecomposition,
     NegativeWeight,
     VERIFY_TOL,
     SolveError,
     VerificationFailed,
     apply_delta,
     apply_mg,
+    bin_cliques,
     decompose,
     enumerate_cliques,
     extract_weights,
@@ -279,8 +279,22 @@ class TestVerifier:
 
     def test_accepts_solution(self, solved):
         g, d = solved
-        err, edge = verify_cliques(g, d.blocks())
+        err, edge = verify_cliques(g, bin_cliques(g, d.blocks()))
         assert err < 1e-8 and g.has_edge(*edge)
+
+    def test_binned_rows_equal_library_cubes(self, solved):
+        g, d = solved
+        assert verify_cliques(g, bin_cliques(g, d.blocks())) == verify_cliques(g, d.cubes())
+
+    def test_one_shuffled_stream_of_every_block(self, solved):
+        # the CLI's shape: one row of parts per clique, blocks interleaved
+        g, d = solved
+        parts = np.concatenate([np.tile(p, (len(i), 1)) for p, i, _ in d.blocks()])
+        index = np.concatenate([i for _, i, _ in d.blocks()])
+        order = np.random.default_rng(0).permutation(len(index))
+        stream = [(parts[order], index[order], d.weights[order])]
+        err, edge = verify_cliques(g, bin_cliques(g, stream))
+        assert (err, edge) == verify_cliques(g, d.cubes())
 
     def test_rejects_missing_edge_clique(self):
         host = make_complete(5, 3, 2)
@@ -291,28 +305,90 @@ class TestVerifier:
 
     def test_rejects_negative_weight(self, solved):
         g, d = solved
-        weights = d.weights.copy()
-        weights[5] = -1e-9
+        blocks = [(parts, index, w.copy()) for parts, index, w in d.blocks()]
+        blocks[0][2][5] = -1e-9
         with pytest.raises(VerificationFailed, match="negative"):
-            verify_decomposition(g, FractionalDecomposition(d.cliques, weights))
+            verify_cliques(g, bin_cliques(g, blocks))
+
+    def test_rejects_negative_cube_cell(self, solved):
+        g, d = solved
+        cubes = [(parts, mask, cube.copy()) for parts, mask, cube in d.cubes()]
+        cubes[0][2][tuple(np.argwhere(cubes[0][1])[5])] = -1e-9
+        with pytest.raises(VerificationFailed, match="negative"):
+            verify_cliques(g, cubes)
 
     def test_rejects_uncovered_edge(self, solved):
         g, d = solved
         kept = [b for b in d.blocks() if not {0, 1} <= set(b[0])]
         with pytest.raises(VerificationFailed, match="no clique"):
-            verify_cliques(g, kept)
+            verify_cliques(g, bin_cliques(g, kept))
 
     def test_rejects_two_vertices_in_one_part(self, solved):
         g, _ = solved
         parts = np.array([[0, 0, 1]])
         with pytest.raises(VerificationFailed, match="one part"):
-            verify_cliques(g, [(parts, np.array([[0, 1, 0]]), np.ones(1))])
+            verify_cliques(g, bin_cliques(g, [(parts, np.array([[0, 1, 0]]), np.ones(1))]))
+        cube = np.zeros((4, 4, 4))
+        cube[0, 1, 0] = 1.0
+        with pytest.raises(VerificationFailed, match="one part"):
+            verify_cliques(g, [((0, 0, 1), cube != 0, cube)])
+
+    @pytest.mark.parametrize("parts,index,weight,match", [
+        ((0, 1, 5), [[0, 0, 0]], 1.0, "outside the host"),
+        ((0, 1, 2), [[0, 4, 0]], 1.0, "outside the host"),
+        ((0, 1, 2), [[0, 1, 0]], float("nan"), "non-finite"),
+        ((0, 1, 2), [[0, 1, 0]], float("inf"), "non-finite"),
+        ((0, 1), [[0, 1, 0]], 1.0, "shape"),
+    ])
+    def test_rejects_malformed_rows(self, solved, parts, index, weight, match):
+        g, _ = solved
+        rows = [(parts, np.array(index), np.array([weight]))]
+        with pytest.raises(VerificationFailed, match=match):
+            verify_cliques(g, bin_cliques(g, rows))
+
+    @pytest.mark.parametrize("parts,shape,weight,match", [
+        ((0, 1, 5), (4, 4, 4), 1.0,
+         r"clique \[\(0, 0\), \(1, 1\), \(5, 2\)\] .*outside the host"),
+        ((0, 1, 2), (4, 4, 4), float("nan"), "non-finite"),
+        ((0, 1, 2), (4, 4, 3), 1.0, "shape"),
+    ])
+    def test_rejects_malformed_cubes(self, solved, parts, shape, weight, match):
+        g, _ = solved
+        sums = np.zeros(shape)
+        sums[0, 1, 2] = weight
+        with pytest.raises(VerificationFailed, match=match):
+            verify_cliques(g, [(parts, sums != 0, sums)])
 
     def test_parts_in_any_order(self, solved):
         g, d = solved
         blocks = [(np.tile(parts[::-1], (len(index), 1)), index[:, ::-1], w)
                   for parts, index, w in d.blocks()]
-        assert verify_cliques(g, blocks) == verify_cliques(g, d.blocks())
+        want = verify_cliques(g, bin_cliques(g, d.blocks()))
+        assert verify_cliques(g, bin_cliques(g, blocks)) == want
+        shared = [(parts[::-1], index[:, ::-1], w) for parts, index, w in d.blocks()]
+        assert verify_cliques(g, bin_cliques(g, shared)) == want
+        cubes = [(parts[::-1], mask.T, cube.T) for parts, mask, cube in d.cubes()]
+        assert verify_cliques(g, cubes) == want
+
+    def test_missing_edge_named_from_reversed_cube(self):
+        host = make_complete(5, 3, 2)
+        d, _ = decompose(host)
+        g = host.delete_edges([((0, 1), (3, 0))])
+        cubes = [(parts[::-1], mask.T, cube.T) for parts, mask, cube in d.cubes()]
+        with pytest.raises(VerificationFailed, match=r"\(0, 1\).*\(3, 0\).*missing edge"):
+            verify_cliques(g, cubes)
+
+    @pytest.mark.parametrize("name", ["r>=s+2", "s=4 r>=s+2", "r=s+1"])
+    def test_axis_sums_match_incidence_bincount(self, name):
+        # the verifier before cubes: one bincount of the weights over every
+        # clique's C(s,2) G-first edge ids
+        g = BLOCK_GRAPHS[name]
+        d, _ = decompose(g)
+        inc = d.cliques.incidence
+        ng = g.indexing.num_graph_edges
+        cover = np.bincount(inc.ravel(), weights=np.repeat(d.weights, inc.shape[1]),
+                            minlength=ng)
+        assert abs(verify_decomposition(g, d) - np.abs(cover - 1.0).max()) < 1e-14
 
 
 class TestDecompose:
@@ -339,6 +415,33 @@ class TestDecompose:
         assert rep.converged
         assert rep.max_edge_sum_error < 1e-8
         assert d.weights.min() >= 0
+
+    @pytest.mark.parametrize("r,s,n,defects", [
+        (5, 3, 128, 64),  # r >= s+2
+        (4, 3, 128, 8),  # r = s+1, the eta path
+    ])
+    def test_certified_at_scale(self, r, s, n, defects):
+        g = generate_admissible_instance(r, s, n, defects, seed=1)
+        d, rep = decompose(g)
+        assert rep.guarantee == "certified"
+        assert rep.converged and rep.verified
+        assert rep.min_weight == d.min_weight >= 0
+
+    @pytest.mark.parametrize("g", [
+        make_complete(5, 3, 3).delete_edges(SHARED),
+        generate_admissible_instance(5, 4, 3, 1, seed=4),  # eta path, s = 4
+    ])
+    def test_report_sizes(self, g):
+        host = make_complete(g.structure.r, g.structure.s, g.structure.n)
+        missing = [(u, w) for u, w in host.structure.host_edges() if not g.has_edge(u, w)]
+        cliques = len(list(oracle.brute_cliques(g)))
+        _, rep = decompose(g)
+        assert rep.num_missing == len(missing) > 0
+        assert rep.num_edges == host.structure.num_edges - len(missing)
+        assert rep.num_cliques == cliques
+        assert rep.num_broken == len(list(oracle.brute_cliques(host))) - cliques
+        sizes = ("num_edges", "num_missing", "num_broken", "num_cliques")
+        assert {k: rep.to_dict()[k] for k in sizes} == {k: getattr(rep, k) for k in sizes}
 
     def test_verified_report(self):
         _, rep = decompose(generate_admissible_instance(5, 3, 8, 4, seed=1))
@@ -415,3 +518,20 @@ class TestBroadcastBlocks:
         monkeypatch.setattr(solver.CliqueList, "incidence", property(refuse))
         d, rep = decompose(g)
         assert rep.verified and len(d.weights) == len(d.cliques) > 0
+
+    @pytest.mark.parametrize("r,s,n,defects,seed", [
+        (5, 3, 8, 4, 1),
+        (5, 4, 4, 1, 2),  # eta path
+    ])
+    def test_decompose_builds_no_index_rows(self, monkeypatch, r, s, n,
+                                            defects, seed):
+        g = generate_admissible_instance(r, s, n, defects, seed=seed)
+
+        def refuse(*args):
+            raise AssertionError("index rows or a flat weight array were built")
+        with monkeypatch.context() as m:
+            m.setattr(np, "argwhere", refuse)
+            m.setattr(solver.CliqueList, "incidence", property(refuse))
+            m.setattr(solver.FractionalDecomposition, "weights", property(refuse))
+            d, rep = decompose(g)
+        assert rep.verified and rep.num_cliques == len(d.weights) > 0
