@@ -89,10 +89,12 @@ def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
     """Write the weights file, or print it when there is no path.
 
     The text is json.dumps of the list of {"clique": [[part, index], ...],
-    "weight": w} records, built chunk by chunk from the block index arrays
-    through one vertex-string table per block, so no record object and no
-    whole-file string exists at any time. The blocks are built one at a
-    time from the implicit decomposition.
+    "weight": w} records. Each chunk of up to WEIGHTS_CHUNK records is one
+    `%` format call over the (k, s+1) object cells of its records: the
+    block's vertex strings, taken from one table by index, and the weights,
+    which an object array holds as Python floats, whose %r is json's float
+    text. So no record object and no whole-file string exists at any time,
+    and the blocks are built one at a time from the implicit decomposition.
     """
     with open(path, "w") if path else nullcontext(sys.stdout) as fh:
         sep = "["
@@ -100,16 +102,20 @@ def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
             if not include_zero:
                 keep = weights != 0.0
                 index, weights = index[keep], weights[keep]
-            vertices = [[f"[{p}, {i}]" for i in range(n)] for p in parts]
-            record = ('{"clique": [' + ", ".join(["%s"] * len(parts))
-                      + '], "weight": %r}')
+            s = len(parts)
+            # the string of vertex (parts[j], i) at j * n + i
+            vertices = np.array([f"[{p}, {i}]" for p in parts for i in range(n)],
+                                dtype=object)
+            record = '{"clique": [' + ", ".join(["%s"] * s) + '], "weight": %r}'
             for start in range(0, len(weights), WEIGHTS_CHUNK):
-                rows = index[start:start + WEIGHTS_CHUNK].tolist()
-                ws = weights[start:start + WEIGHTS_CHUNK].tolist()
-                fh.write(sep + ", ".join(
-                    record % (*map(list.__getitem__, vertices, row), w)
-                    for row, w in zip(rows, ws)))
+                rows = index[start:start + WEIGHTS_CHUNK]
+                cells = np.empty((len(rows), s + 1), dtype=object)
+                cells[:, :s] = vertices[rows + n * np.arange(s)]
+                cells[:, s] = weights[start:start + WEIGHTS_CHUNK]  # as Python floats
+                fh.write(sep + ", ".join([record] * len(rows))
+                         % tuple(cells.ravel().tolist()))
                 sep = ", "
+            del index, weights  # before the next block is built
         fh.write("[]" if sep == "[" else "]")
         if not path:
             fh.write("\n")

@@ -87,9 +87,14 @@ class CliqueList:
                     mask &= _on_axes(edges[(parts[a], parts[b])], a, b, s)
             if mask.any():
                 yield parts, mask
+            del mask  # before the next block's mask is allocated
 
     def __len__(self):
-        return sum(int(np.count_nonzero(mask)) for _, mask in self.masks())
+        count = 0
+        for _, mask in self.masks():
+            count += int(np.count_nonzero(mask))
+            del mask
+        return count
 
     @property
     def blocks(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -258,10 +263,14 @@ class SolveReport:
     num_missing: int = 0
     num_broken: int = 0  # host cliques through a missing edge
     num_cliques: int = 0  # K_s copies of G
+    residuals: list = field(default_factory=list)  # one per iteration
+    min_y: float = float("nan")  # least entry of y on E(G)
+    num_negative_y: int = 0  # entries of y on E(G) below 0
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         d = dict(self.__dict__)
+        d["residuals"] = list(self.residuals)
         d["timings"] = dict(self.timings)
         return d
 
@@ -276,7 +285,9 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
     regime bounds by 1/2. With z' = Minv(1 - Delta z) the residual of z' is
     Delta (z' - z), so one iteration costs one Minv and one Delta apply; the
     true residual of the block system is confirmed before stopping.
-    Without `cliques`, only the broken cliques are built.
+    Without `cliques`, only the broken cliques are built. The report gets
+    the residual of every iteration and, on convergence, the least entry and
+    the negative count of y = z on E(G).
     """
     st = graph.structure
     r, s, n = st.r, st.s, st.n
@@ -298,6 +309,7 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
     dz = delta(z)
     prev_step = None
     contraction = 0.0
+    report.residuals = []
     for it in range(1, max_iter + 1):
         z_next = minv(ones - dz)
         dz_next = delta(z_next)
@@ -311,9 +323,13 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
             residual = np.abs(mfull(z) + dz - ones).max()
         report.iterations = it
         report.final_residual_inf = float(residual)
+        report.residuals.append(report.final_residual_inf)
         report.measured_contraction = float(contraction)
         if residual < tol:
             report.converged = True
+            y = z[:graph.indexing.num_graph_edges]
+            report.min_y = float(y.min()) if y.size else float("nan")
+            report.num_negative_y = int(np.count_nonzero(y < 0))
             return z, report
     raise NonConvergence(
         f"no convergence after {max_iter} iterations "
@@ -364,17 +380,22 @@ class FractionalDecomposition:
                     f"clique weight {worst:.3e} below -{CLIP_TOL:.0e}")
             np.clip(cube, 0.0, None, out=cube)
             yield parts, mask, cube
+            del mask, cube  # before the next block's are allocated
 
     @cached_property
     def min_weight(self) -> float:
         """The least clique weight, 0.0 without cliques; one pass over `cubes`."""
-        return min((float(np.min(cube, where=mask, initial=np.inf))
-                    for _, mask, cube in self.cubes()), default=0.0)
+        least = []
+        for _, mask, cube in self.cubes():
+            least.append(float(np.min(cube, where=mask, initial=np.inf)))
+            del mask, cube
+        return min(least, default=0.0)
 
     def blocks(self):
         """(parts, index, weights) per block, index rows in lexicographic order."""
         for parts, mask, cube in self.cubes():
             yield parts, np.argwhere(mask), cube[mask]
+            del mask, cube
 
     def items(self):
         """(clique, weight) pairs, streamed block by block.
@@ -387,6 +408,7 @@ class FractionalDecomposition:
             vertices = [[(p, i) for i in range(n)] for p in parts]
             for row, w in zip(index.tolist(), weights.tolist()):
                 yield tuple(map(list.__getitem__, vertices, row)), w
+            del index, weights
 
     @property
     def weights(self) -> np.ndarray:
@@ -394,7 +416,11 @@ class FractionalDecomposition:
 
         Read-only, because writing to a copy would change no weight.
         """
-        w = np.concatenate([np.zeros(0)] + [cube[mask] for _, mask, cube in self.cubes()])
+        pieces = [np.zeros(0)]
+        for _, mask, cube in self.cubes():
+            pieces.append(cube[mask])
+            del mask, cube
+        w = np.concatenate(pieces)
         w.flags.writeable = False
         return w
 
@@ -524,6 +550,7 @@ def verify_cliques(graph: MultipartiteGraph, cubes) -> tuple[float, EdgeKey | No
                              (counts != 0) & _on_axes(missing[t], a, b, s))
             covered[t] |= hit
             cover[t] += sums.sum(axis=other)
+        del counts, sums  # before the next block's cubes are built
 
     missing, cover, covered = missing.ravel(), cover.ravel(), covered.ravel()
     edges = np.flatnonzero(~missing)

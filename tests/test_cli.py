@@ -1,5 +1,9 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,16 @@ class TestDecomposeAndVerify:
         assert rep["num_edges"] == 6 * 16 - missing
         assert rep["num_cliques"] == len(json.loads(weights.read_text()))
         assert rep["num_broken"] > 0
+
+    def test_report_residuals_and_signs_of_y(self, graph_file, tmp_path):
+        report = tmp_path / "report.json"
+        assert run(["decompose", "--input", str(graph_file),
+                    "--output", str(tmp_path / "w.json"),
+                    "--report", str(report)]) == EXIT_OK
+        rep = json.loads(report.read_text())
+        assert len(rep["residuals"]) == rep["iterations"]
+        assert rep["residuals"][-1] == rep["final_residual_inf"]
+        assert rep["num_negative_y"] == 0 and rep["min_y"] > 0
 
     def test_deterministic_weights_file(self, graph_file, tmp_path):
         w1, w2 = tmp_path / "w1.json", tmp_path / "w2.json"
@@ -285,6 +299,37 @@ class TestWeightsFile:
         assert run(["verify", "--input", str(graph_file),
                     "--weights", str(tmp_path / "weights.json")]) == EXIT_OK
         assert seen == [False] and gc.isenabled()
+
+
+class TestDevMode:
+    """The CLI as a user runs it, under Python's development mode with every
+    warning an error: an unclosed file or a deprecated call fails here."""
+
+    def _cli(self, *args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "fracdecomp.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120)
+
+    def test_decompose_and_verify_warn_nothing(self, graph_file, tmp_path):
+        weights, report = tmp_path / "weights.json", tmp_path / "report.json"
+        done = self._cli("decompose", "--input", str(graph_file),
+                         "--output", str(weights), "--report", str(report))
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "", "")
+        assert json.loads(report.read_text())["verified"] is True
+
+        # weights to stdout, the report to stderr, nothing else on either
+        done = self._cli("decompose", "--input", str(graph_file))
+        assert done.returncode == EXIT_OK
+        assert done.stdout == weights.read_text() + "\n"
+        assert json.loads(done.stderr)["verified"] is True
+
+        done = self._cli("verify", "--input", str(graph_file),
+                         "--weights", str(weights))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert json.loads(done.stdout)["max_edge_sum_error"] < 1e-8
 
 
 class TestVerifyRejects:

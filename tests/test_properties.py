@@ -1,22 +1,27 @@
 """Property tests: the solver's cliques and defect operator against the oracle,
-the graph JSON round trip, and admissibility under transversal deletion.
+the graph JSON round trip, admissibility under transversal deletion, and the
+CLI weights file against json.dumps of the decomposition's records.
 
 Random small hosts (r, s, n) with random missing-edge sets; the examples are
 fixed by the hypothesis profile in conftest.py.
 """
 
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from fracdecomp import oracle
+from fracdecomp import cli, oracle
 from fracdecomp.graph_core import (
     MultipartiteGraph,
     check_admissible,
     generate_admissible_instance,
     make_complete,
 )
-from fracdecomp.solver import apply_delta, enumerate_cliques
+from fracdecomp.solver import SolveError, apply_delta, decompose, enumerate_cliques
 from fracdecomp.spectral import eta_star
 
 
@@ -85,3 +90,75 @@ def test_transversal_deletion_keeps_admissibility(case):
     assert before.admissible and after.admissible
     assert all(after.pair_counts[pp] == cnt - 1
                for pp, cnt in before.pair_counts.items())
+
+
+def _weights_text(decomp, n, include_zero):
+    """The weights file as the CLI prints it without --output."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._write_weights(None, decomp, n, include_zero)
+    return out.getvalue()
+
+
+def _records_json(pairs, include_zero):
+    return json.dumps([{"clique": [list(v) for v in clique], "weight": w}
+                       for clique, w in pairs if include_zero or w != 0.0]) + "\n"
+
+
+def _by_record(text):
+    """The text cut between records: equal lists mean equal texts, and a
+    failure names the first record that differs instead of diffing two long
+    lines character by character."""
+    return text.split("}, {")
+
+
+@st.composite
+def generated_instances(draw):
+    """A generator instance with 4 <= r <= 6, 3 <= s <= 4, s < r and n <= 5."""
+    s = draw(st.integers(3, 4))
+    r = draw(st.integers(max(4, s + 1), 6))
+    n = draw(st.integers(1, 5))
+    budget = draw(st.integers(0, n if r == s + 1 else 3 * n))
+    return generate_admissible_instance(r, s, n, budget,
+                                        seed=draw(st.integers(0, 2 ** 32 - 1)),
+                                        per_part_cap=draw(st.integers(1, 2)))
+
+
+@given(generated_instances(), st.booleans())
+def test_weights_file_is_json_dumps_of_the_records(g, include_zero):
+    try:
+        decomp, _ = decompose(g)
+    except SolveError:
+        assume(False)
+    assert (_by_record(_weights_text(decomp, g.structure.n, include_zero))
+            == _by_record(_records_json(decomp.items(), include_zero)))
+
+
+class _HandSetBlocks:
+    """A decomposition stand-in whose blocks carry hand-set weights."""
+
+    BLOCKS = [
+        ((0, 1, 2), [[0, 1, 2], [2, 0, 1], [1, 1, 1]], [1e-05, 1.0, 0.0]),
+        ((0, 1, 3), [[0, 0, 0], [2, 2, 2]], [0.0, 0.0]),  # emptied by the filter
+        ((1, 2, 3), [[2, 1, 0]], [1 / 3]),
+    ]
+
+    def blocks(self):
+        for parts, index, weights in self.BLOCKS:
+            yield parts, np.array(index), np.array(weights)
+
+    def items(self):
+        for parts, index, weights in self.BLOCKS:
+            for row, w in zip(index, weights):
+                yield tuple(zip(parts, row)), w
+
+
+def test_weights_file_of_hand_set_weights(tmp_path):
+    stub = _HandSetBlocks()
+    for include_zero in (False, True):
+        want = _records_json(stub.items(), include_zero)
+        assert '"weight": 1e-05' in want and '"weight": 1.0' in want
+        assert _weights_text(stub, 3, include_zero) == want
+        path = tmp_path / "weights.json"
+        cli._write_weights(str(path), stub, 3, include_zero)
+        assert path.read_text() + "\n" == want

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -181,6 +182,12 @@ class TestNeumannSolve:
         z, rep = neumann_solve(g)
         assert rep.iterations == 1
         assert np.allclose(z, 1 / 18)
+
+    def test_no_edges_leaves_min_y_undefined(self):
+        host = make_complete(5, 3, 1)
+        g = host.delete_edges(list(host.structure.host_edges()))
+        _, rep = neumann_solve(g)
+        assert rep.converged and np.isnan(rep.min_y) and rep.num_negative_y == 0
 
     def test_matches_dense_solve(self):
         g = generate_admissible_instance(5, 3, 8, 4, seed=1)
@@ -427,6 +434,23 @@ class TestDecompose:
         assert rep.converged and rep.verified
         assert rep.min_weight == d.min_weight >= 0
 
+    def test_one_block_alive_at_a_time(self):
+        # (5, 3, 128): one block's weight cube is 16.8 MB and its mask 2.1 MB;
+        # holding the previous block while building the next doubles the peak
+        g = generate_admissible_instance(5, 3, 128, 64, seed=1)
+        d, _ = decompose(g)
+        block = 128 ** 3 * (8 + 1)
+        for measure in (lambda fd: verify_decomposition(g, fd),
+                        lambda fd: fd.min_weight):
+            fresh = solver.FractionalDecomposition(cliques=d.cliques, y=d.y)
+            tracemalloc.start()
+            try:
+                measure(fresh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.3 * block
+
     @pytest.mark.parametrize("g", [
         make_complete(5, 3, 3).delete_edges(SHARED),
         generate_admissible_instance(5, 4, 3, 1, seed=4),  # eta path, s = 4
@@ -442,6 +466,25 @@ class TestDecompose:
         assert rep.num_broken == len(list(oracle.brute_cliques(host))) - cliques
         sizes = ("num_edges", "num_missing", "num_broken", "num_cliques")
         assert {k: rep.to_dict()[k] for k in sizes} == {k: getattr(rep, k) for k in sizes}
+
+    @pytest.mark.parametrize("g,eta,negative", [
+        # plain path beyond the threshold, where some entries of y are negative
+        (generate_admissible_instance(5, 3, 8, 160, seed=2, per_part_cap=3), None, 7),
+        (generate_admissible_instance(5, 4, 3, 1, seed=4), eta_star(4, 3), 0),
+    ])
+    def test_report_residuals_and_signs_of_y(self, g, eta, negative):
+        z, solo = neumann_solve(g, eta=eta)
+        y = z[:g.indexing.num_graph_edges]
+        d, rep = decompose(g)
+        assert np.array_equal(d.y, y)
+        assert rep.min_y == y.min()
+        assert rep.num_negative_y == np.count_nonzero(y < 0) == negative
+        assert rep.residuals == solo.residuals
+        assert len(rep.residuals) == rep.iterations
+        assert rep.residuals[-1] == rep.final_residual_inf < 1e-10
+        assert min(rep.residuals[:-1]) >= 1e-10  # the solve went on past each
+        fields = ("residuals", "min_y", "num_negative_y")
+        assert {k: rep.to_dict()[k] for k in fields} == {k: getattr(rep, k) for k in fields}
 
     def test_verified_report(self):
         _, rep = decompose(generate_admissible_instance(5, 3, 8, 4, seed=1))
