@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import sys
 import time
@@ -82,6 +83,12 @@ def cmd_check(args) -> int:
 
 
 WEIGHTS_CHUNK = 1 << 14  # records per write
+VERTEX = "[%d, %d]"  # a clique vertex of the weights file: [part, index]
+
+
+def _record_format(s: int) -> str:
+    """The %-format of one weights-file record: s VERTEX texts, then the weight."""
+    return '{"clique": [' + ", ".join(["%s"] * s) + '], "weight": %r}'
 
 
 def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
@@ -104,9 +111,9 @@ def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
                 index, weights = index[keep], weights[keep]
             s = len(parts)
             # the string of vertex (parts[j], i) at j * n + i
-            vertices = np.array([f"[{p}, {i}]" for p in parts for i in range(n)],
+            vertices = np.array([VERTEX % (p, i) for p in parts for i in range(n)],
                                 dtype=object)
-            record = '{"clique": [' + ", ".join(["%s"] * s) + '], "weight": %r}'
+            record = _record_format(s)
             for start in range(0, len(weights), WEIGHTS_CHUNK):
                 rows = index[start:start + WEIGHTS_CHUNK]
                 cells = np.empty((len(rows), s + 1), dtype=object)
@@ -125,13 +132,31 @@ def cmd_decompose(args) -> int:
     g = _load_graph(args)
     decomp, rep = solver.decompose(
         g, tol=args.tol, max_iter=args.max_iter, eta=args.eta)
+    t0 = time.perf_counter()
     _write_weights(args.output, decomp, g.structure.n, args.include_zero_weights)
+    rep.timings["write"] = time.perf_counter() - t0
     report_text = json.dumps(rep.to_dict(), indent=2)
     if args.report:
         _write(args.report, report_text)
     else:
         print(report_text, file=sys.stderr)
     return EXIT_OK if rep.verified else EXIT_VERIFY_FAILED
+
+
+def _weight_array(values: list) -> np.ndarray:
+    """The (K,) floats of a weights file's parsed weights.
+
+    Raises GraphError unless every value is a JSON number.
+    """
+    try:
+        weights = np.array(values)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"malformed weights record: {exc!r}") from exc
+    # numpy reads a JSON true or false among numbers as 1 or 0
+    if (weights.ndim != 1 or weights.dtype.kind not in "if"
+            or bool in set(map(type, values))):
+        raise GraphError("every weight must be a number")
+    return weights.astype(float)
 
 
 def _read_weights(records, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,23 +173,138 @@ def _read_weights(records, s: int) -> tuple[np.ndarray, np.ndarray]:
     try:
         cliques = [rec["clique"] for rec in records]
         values = [rec["weight"] for rec in records]
-        weights = np.array(values)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed weights record: {exc!r}") from exc
-    # numpy reads a JSON true or false among numbers as 1 or 0
-    if (weights.ndim != 1 or weights.dtype.kind not in "if"
-            or bool in set(map(type, values))):
-        raise GraphError("every weight must be a number")
+    weights = _weight_array(values)
     try:
         vertices = list(chain.from_iterable(cliques))
         if set(map(len, cliques)) == {s} and set(map(len, vertices)) == {2}:
             entries = list(chain.from_iterable(vertices))
             if set(map(type, entries)) == {int}:
                 flat = np.fromiter(entries, dtype=np.int64, count=len(entries))
-                return flat.reshape(-1, s, 2), weights.astype(float)
+                return flat.reshape(-1, s, 2), weights
     except (TypeError, OverflowError):
         pass
     raise GraphError(f"every clique must be {s} [part, index] integer pairs")
+
+
+# The bytes that may occur in a JSON number, and the weights-file scanner's
+# 256-byte bytes.translate table that maps them to 1 and other bytes to 0.
+_NUMBER_BYTES = b"0123456789+-.eE"
+_IS_NUMBER = bytes(c in _NUMBER_BYTES for c in range(256))
+SCAN_CHUNK = 1 << 20  # bytes classified at a time
+
+
+def _number_runs(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets and lengths of the runs of JSON-number bytes in data.
+
+    The first and the last byte of data must not be number bytes. The bytes
+    are classified a chunk at a time, so that only the offsets, int32 below
+    2 GiB, are held for the whole text.
+    """
+    dtype = np.int32 if len(data) < 2 ** 31 else np.int64
+    edges = [np.zeros(0, dtype=dtype)]
+    for lo in range(0, len(data) - 1, SCAN_CHUNK):
+        number = np.frombuffer(data[lo:lo + SCAN_CHUNK + 1].translate(_IS_NUMBER),
+                               dtype=bool)
+        edges.append(np.flatnonzero(number[1:] != number[:-1]).astype(dtype))
+        edges[-1] += lo + 1
+    edges = np.concatenate(edges)
+    edges[1::2] -= edges[0::2]
+    return edges[0::2], edges[1::2]
+
+
+def _scan_weights(data: bytes, s: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_read_weights(json.loads(data), s)` of a file in the writer's layout.
+
+    The layout is `_write_weights`' text exactly: "[]", or "[", the records
+    joined by ", " and "]", each record `_record_format(s)` filled with
+    VERTEX vertices; either may end in one newline. The template record,
+    formatted with every entry 0, gives the runs of JSON-number bytes a
+    record has (its entries, and the "e" of each key) and the bytes between
+    them. In the text, every run must sit where the template's does and
+    every other byte must be the template's. Vertex entries must be plain
+    JSON integers of at most 18 digits, read by digit arithmetic; only the
+    weights go through json.loads, so they are json's own floats. Returns
+    None for any other text, which is then read as JSON. Raises GraphError,
+    as `_read_weights` does, if a weight is a number numpy cannot hold.
+    """
+    if data in (b"[]", b"[]\n"):
+        return np.zeros((0, s, 2), dtype=np.int64), np.zeros(0)
+    tail = b"]\n" if data.endswith(b"\n") else b"]"
+    if not (data.startswith(b"[") and data.endswith(tail)):
+        return None
+    one = (_record_format(s) % ((VERTEX % (0, 0),) * s + (0,))).encode()
+    one_starts, one_lens = _number_runs(one)
+    skeleton = one.translate(None, _NUMBER_BYTES)
+    one_at = one_starts - (np.cumsum(one_lens) - one_lens)  # its offset in skeleton
+    entry = np.frombuffer(one, dtype=np.uint8)[one_starts] == ord("0")
+    *vertex_cols, weight_col = np.flatnonzero(entry)  # 2s vertex entries, the weight
+
+    starts, lens = _number_runs(data)
+    k, extra = divmod(starts.size, one_starts.size)
+    if k == 0 or extra:
+        return None
+    # every run where the template's sits, every other byte the template's:
+    # a run's offset among the other bytes is its start less the run bytes
+    # before it, and a record's offset is 1 + its index times skeleton + ", "
+    at = np.cumsum(lens, dtype=starts.dtype)
+    at -= lens
+    np.subtract(starts, at, out=at)
+    starts, lens, at = (a.reshape(k, -1) for a in (starts, lens, at))
+    at -= one_at
+    at -= (1 + (len(skeleton) + 2) * np.arange(k, dtype=at.dtype))[:, None]
+    if at.any():
+        return None
+    del at
+    others = data.translate(None, _NUMBER_BYTES)
+    records = (b", " + skeleton) * (k - 1)
+    if not (len(others) == 1 + len(skeleton) + len(records) + len(tail)
+            and others.startswith(b"[" + skeleton)
+            and others.startswith(records, 1 + len(skeleton))
+            and others.endswith(tail)):
+        return None
+    del others, records
+    text = np.frombuffer(data, dtype=np.uint8)
+    for c in np.flatnonzero(~entry):
+        if (lens[:, c] != one_lens[c]).any():
+            return None
+        for d in range(one_lens[c]):
+            if (text[starts[:, c] + d] != one[one_starts[c] + d]).any():
+                return None
+    vertex_starts, vertex_lens = starts[:, vertex_cols], lens[:, vertex_cols]
+    weight_starts, weight_lens = starts[:, weight_col].copy(), lens[:, weight_col].copy()
+    del starts, lens  # and with them the offsets of every run
+
+    longest = int(vertex_lens.max())
+    if longest > 18 or ((text[vertex_starts] == ord("0")) & (vertex_lens > 1)).any():
+        return None  # a leading zero is not JSON; longer numbers are left to json
+    vertices = np.zeros(vertex_starts.shape, dtype=np.int64)
+    for d in range(longest):
+        more = vertex_lens > d
+        digit = text.take(vertex_starts + d, mode="clip") - np.uint8(ord("0"))
+        if ((digit > 9) & more).any():
+            return None
+        np.multiply(vertices, 10, out=vertices, where=more)
+        np.add(vertices, digit, out=vertices, where=more)
+    del vertex_starts, vertex_lens
+
+    # the weights, each with the byte after it turned into a comma: gathered
+    # by the cumulative sum of a 1 per byte and a jump to each next weight
+    spans = weight_lens + 1
+    ends = np.cumsum(spans, dtype=spans.dtype)
+    cells = np.ones(ends[-1], dtype=ends.dtype)
+    cells[0] = weight_starts[0]
+    cells[ends[:-1]] = weight_starts[1:] - (weight_starts[:-1] + weight_lens[:-1])
+    weights = text[np.cumsum(cells, out=cells)]
+    del cells
+    weights[ends - 1] = ord(",")
+    weights[-1] = ord("]")
+    try:
+        values = json.loads(b"[" + weights.tobytes())
+    except ValueError:
+        return None
+    return vertices.reshape(k, s, 2), _weight_array(values)
 
 
 @contextmanager
@@ -188,9 +328,16 @@ def _gc_paused():
 def cmd_verify(args) -> int:
     with open(args.input) as fh:
         g = MultipartiteGraph.from_json(fh.read())
-    with open(args.weights) as fh, _gc_paused():
-        # the parsed records are freed as soon as the arrays are built
-        cliques, weights = _read_weights(json.load(fh), g.structure.s)
+    with open(args.weights, "rb") as fh:
+        data = fh.read()
+    s = g.structure.s
+    scanned = _scan_weights(data, s)
+    if scanned is None:  # not the writer's layout: read it as JSON
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh, _gc_paused():
+            # the parsed records are freed as soon as the arrays are built
+            scanned = _read_weights(json.load(fh), s)
+    del data
+    cliques, weights = scanned
     err, worst = solver.verify_cliques(
         g, solver.bin_cliques(g, [(cliques[:, :, 0], cliques[:, :, 1], weights)]))
     result = {
@@ -412,7 +559,7 @@ def run(argv=None) -> int:
     except solver.SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _solve_exit_code(exc)
-    except (GraphError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -104,7 +104,7 @@ class CliqueList:
         Built on each access; the solve, the weights and the verifier never
         need it.
         """
-        return [(parts, np.argwhere(mask)) for parts, mask in self.masks()]
+        return [(parts, _mask_rows(mask)) for parts, mask in self.masks()]
 
     @property
     def incidence(self) -> np.ndarray:
@@ -137,6 +137,21 @@ def _on_axes(mat: np.ndarray, a: int, b: int, s: int) -> np.ndarray:
     shape = [1] * s
     shape[a], shape[b] = mat.shape
     return mat.reshape(shape)
+
+
+def _mask_rows(mask: np.ndarray) -> np.ndarray:
+    """The (k, s) indices of the True cells of an n^s mask, rows in lexicographic order.
+
+    Filled a column at a time from the flat cell ids into one preallocated
+    array; np.argwhere would also hold np.nonzero's s index arrays.
+    """
+    n, s = mask.shape[0], mask.ndim
+    cells = np.flatnonzero(mask)
+    rows = np.empty((cells.size, s), dtype=np.int64)
+    for j in range(s - 1, 0, -1):
+        np.divmod(cells, n, out=(cells, rows[:, j]))
+    rows[:, 0] = cells
+    return rows
 
 
 def _missing_by_pair(graph: MultipartiteGraph) -> dict:
@@ -394,8 +409,9 @@ class FractionalDecomposition:
     def blocks(self):
         """(parts, index, weights) per block, index rows in lexicographic order."""
         for parts, mask, cube in self.cubes():
-            yield parts, np.argwhere(mask), cube[mask]
-            del mask, cube
+            index = _mask_rows(mask)
+            yield parts, index, cube[mask]
+            del mask, cube, index
 
     def items(self):
         """(clique, weight) pairs, streamed block by block.
@@ -414,13 +430,17 @@ class FractionalDecomposition:
     def weights(self) -> np.ndarray:
         """Every clique's weight in block order, as one array built on each access.
 
-        Read-only, because writing to a copy would change no weight.
+        Each block's weights go straight into one array sized by the clique
+        count, so no weight is held twice. Read-only, because writing to a
+        copy would change no weight.
         """
-        pieces = [np.zeros(0)]
+        w = np.empty(len(self.cliques))
+        start = 0
         for _, mask, cube in self.cubes():
-            pieces.append(cube[mask])
+            end = start + np.count_nonzero(mask)
+            w[start:end] = cube[mask]
+            start = end
             del mask, cube
-        w = np.concatenate(pieces)
         w.flags.writeable = False
         return w
 

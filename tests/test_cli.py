@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,11 @@ from fracdecomp.cli import (
     _read_weights,
     run,
 )
-from fracdecomp.graph_core import MultipartiteGraph, make_complete
+from fracdecomp.graph_core import (
+    MultipartiteGraph,
+    generate_admissible_instance,
+    make_complete,
+)
 
 
 @pytest.fixture
@@ -74,6 +79,11 @@ class TestCheck:
         assert run(["check", "--input", str(path)]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_graph_exits_one(self, graph_file, capsys):
+        graph_file.write_bytes(graph_file.read_bytes().replace(b'"r"', b'"\xff"', 1))
+        assert run(["check", "--input", str(graph_file)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
     def test_complete_from_parameters(self, capsys):
         assert run(["check", "-r", "5", "-s", "3", "-n", "2"]) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
@@ -114,6 +124,15 @@ class TestDecomposeAndVerify:
         assert len(rep["residuals"]) == rep["iterations"]
         assert rep["residuals"][-1] == rep["final_residual_inf"]
         assert rep["num_negative_y"] == 0 and rep["min_y"] > 0
+
+    def test_report_times_the_writer(self, graph_file, tmp_path):
+        report = tmp_path / "report.json"
+        assert run(["decompose", "--input", str(graph_file),
+                    "--output", str(tmp_path / "w.json"),
+                    "--report", str(report)]) == EXIT_OK
+        timings = json.loads(report.read_text())["timings"]
+        assert timings["write"] >= 0
+        assert {"admissibility", "enumerate", "solve", "verify"} <= set(timings)
 
     def test_deterministic_weights_file(self, graph_file, tmp_path):
         w1, w2 = tmp_path / "w1.json", tmp_path / "w2.json"
@@ -258,6 +277,13 @@ class TestWeightsFile:
         assert run(["verify", "--input", str(graph_file),
                     "--weights", str(weights)]) == EXIT_OK
 
+    def _indented(self, graph_file, tmp_path):
+        """The writer's file re-indented, which only the JSON path reads."""
+        weights = tmp_path / "weights.json"
+        weights.write_text(json.dumps(
+            json.loads(self._decompose(graph_file, tmp_path)), indent=2))
+        return weights
+
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("text,code", [
         (None, EXIT_OK), ("[{", EXIT_USAGE), ('{"clique": 1}', EXIT_USAGE)])
@@ -265,7 +291,7 @@ class TestWeightsFile:
                                       enabled, text, code):
         weights = tmp_path / "weights.json"
         if text is None:
-            self._decompose(graph_file, tmp_path)
+            self._indented(graph_file, tmp_path)
         else:
             weights.write_text(text)
         real_load = json.load
@@ -287,7 +313,7 @@ class TestWeightsFile:
 
     def test_records_freed_before_gc_resumes(self, graph_file, tmp_path,
                                              monkeypatch):
-        self._decompose(graph_file, tmp_path)
+        self._indented(graph_file, tmp_path)
         real_read = cli._read_weights
         seen = []
 
@@ -299,6 +325,24 @@ class TestWeightsFile:
         assert run(["verify", "--input", str(graph_file),
                     "--weights", str(tmp_path / "weights.json")]) == EXIT_OK
         assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_writer_file_is_scanned_not_parsed(self, graph_file, tmp_path,
+                                              monkeypatch, enabled):
+        self._decompose(graph_file, tmp_path)
+
+        def refuse(*args):
+            raise AssertionError("the writer's file went through json.load")
+        monkeypatch.setattr(json, "load", refuse)
+        monkeypatch.setattr(cli, "_read_weights", refuse)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(["verify", "--input", str(graph_file),
+                        "--weights", str(tmp_path / "weights.json")]) == EXIT_OK
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestDevMode:
@@ -330,6 +374,20 @@ class TestDevMode:
                          "--weights", str(weights))
         assert (done.returncode, done.stderr) == (EXIT_OK, "")
         assert json.loads(done.stdout)["max_edge_sum_error"] < 1e-8
+
+    def test_verify_both_readers_warn_nothing(self, graph_file, tmp_path):
+        printed = self._cli("decompose", "--input", str(graph_file)).stdout
+        indented, captured = tmp_path / "indented.json", tmp_path / "captured.json"
+        indented.write_text(json.dumps(json.loads(printed), indent=2))  # json path
+        captured.write_text(printed)  # scan path, with the trailing newline
+        assert printed.endswith("]\n")
+        results = []
+        for weights in (indented, captured):
+            done = self._cli("verify", "--input", str(graph_file),
+                             "--weights", str(weights))
+            assert (done.returncode, done.stderr) == (EXIT_OK, "")
+            results.append(done.stdout)
+        assert results[0] == results[1]
 
 
 class TestVerifyRejects:
@@ -402,12 +460,142 @@ class TestVerifyRejects:
         code, err = self._verify(solved, records, capsys)
         assert code == EXIT_USAGE and "error:" in err
 
+    @staticmethod
+    def _index(new):
+        """An edit of the first clique's first vertex index."""
+        def edit(data):
+            head = b'[{"clique": [[0, '
+            return head + new + data[data.index(b"]", len(head)):]
+        return edit
+
+    @staticmethod
+    def _weight(new):
+        """An edit of the first record's weight."""
+        def edit(data):
+            start = data.index(b'"weight": ') + len(b'"weight": ')
+            return data[:start] + new + data[data.index(b"}", start):]
+        return edit
+
+    @staticmethod
+    def _swap_keys(data):
+        end = data.index(b"}") + 1
+        clique, weight = data[len(b'[{"clique": '):end - 1].split(b', "weight": ')
+        return b'[{"weight": ' + weight + b', "clique": ' + clique + b"}" + data[end:]
+
+    @pytest.mark.parametrize("edit,code", [
+        (_index(b"01"), EXIT_USAGE),
+        (_weight(b"+1"), EXIT_USAGE),
+        (_weight(b"1."), EXIT_USAGE),
+        (_weight(b".5"), EXIT_USAGE),
+        (_index(b"-0"), EXIT_OK),
+        (_weight(b"1E5"), EXIT_VERIFY_FAILED),
+        (_weight(b"1e400"), EXIT_VERIFY_FAILED),
+        (_index(str(2 ** 70).encode()), EXIT_USAGE),
+        (_index(b"-1"), EXIT_VERIFY_FAILED),
+        (_weight(b"NaN"), EXIT_VERIFY_FAILED),
+        (_weight(b"true"), EXIT_USAGE),
+        (lambda data: data.replace(b'"clique": ', b'"clique":  ', 1), EXIT_OK),
+        (lambda data: b'"clique";'.join(data.rsplit(b'"clique":', 1)), EXIT_USAGE),
+        (lambda data: data.replace(b'"clique"', b'"cliqu5"', 1), EXIT_USAGE),
+        (lambda data: data.replace(b", [1, 0], ", b", [1, ]0, ", 1), EXIT_USAGE),
+        (_swap_keys, EXIT_OK),
+        (lambda data: data[:-1] + b", ]", EXIT_USAGE),
+        (lambda data: b"\xef\xbb\xbf" + data, EXIT_USAGE),
+        (lambda data: data.replace(b"[", b"[\xff", 1), EXIT_USAGE),
+    ], ids=["01", "+1", "1.", ".5", "-0", "1E5", "1e400", "70-bit index",
+            "-1 index", "NaN", "true", "doubled space", "last colon",
+            "key digit", "moved index", "swapped keys", "trailing comma", "BOM",
+            "xff"])
+    def test_edited_writer_file_exits_as_json_reads_it(
+            self, solved, monkeypatch, capsys, edit, code):
+        graph_file, weights, _ = solved
+        data = weights.read_bytes()
+        weights.write_bytes(edit(data))
+        assert weights.read_bytes() != data
+        args = ["verify", "--input", str(graph_file), "--weights", str(weights)]
+        assert run(args) == code
+        scanned = capsys.readouterr()
+        assert code != EXIT_USAGE or "error:" in scanned.err
+        # the JSON reader alone, as for any file not in the writer's layout
+        monkeypatch.setattr(cli, "_scan_weights", lambda data, s: None)
+        assert run(args) == code
+        assert capsys.readouterr() == scanned
+
     def test_read_weights_matches_nested_build(self, solved):
         records = solved[2]
         cliques, weights = _read_weights(records, 3)
         want = np.array([rec["clique"] for rec in records])
         assert cliques.dtype == np.int64 and np.array_equal(cliques, want)
         assert np.array_equal(weights, [rec["weight"] for rec in records])
+
+
+class _RandomBlocks:
+    """A decomposition stand-in: a few blocks of random cliques of a host
+    (r, s, 120), weights of assorted magnitudes and float texts, some 0."""
+
+    def __init__(self, r, s, seed):
+        rng = np.random.default_rng(seed)
+        special = [0.0, 1.0, 1 / 3, 1e16, 1.5e-07, 5e-324, 123456789.0, 0.1]
+        self._blocks = []
+        for parts in list(combinations(range(r), s))[:3]:
+            index = np.sort(rng.integers(0, 120, size=(40, s)), axis=0)
+            weights = rng.random(40) * 10.0 ** rng.integers(-9, 4, size=40)
+            weights[rng.integers(0, 40, size=8)] = special
+            weights[rng.integers(0, 40, size=4)] = 0.0
+            self._blocks.append((parts, index, weights))
+
+    def blocks(self):
+        yield from self._blocks
+
+
+class TestScanWeights:
+    """The writer's text scanned, against json.loads and `_read_weights`."""
+
+    @staticmethod
+    def _assert_same(text, s):
+        got = cli._scan_weights(text.encode(), s)
+        want = _read_weights(json.loads(text), s)
+        assert got is not None
+        assert got[0].dtype == want[0].dtype == np.int64
+        assert got[0].shape == want[0].shape and np.array_equal(got[0], want[0])
+        assert got[1].dtype == want[1].dtype == np.float64
+        assert got[1].tobytes() == want[1].tobytes()  # bit for bit
+
+    @pytest.mark.parametrize("include_zero", [False, True])
+    @pytest.mark.parametrize("s,r", [(3, 4), (3, 5), (4, 5), (4, 6), (5, 6), (5, 7)])
+    def test_writer_text_reads_as_json_does(self, tmp_path, capsys, s, r,
+                                            include_zero):
+        stub = _RandomBlocks(r, s, seed=10 * s + r)
+        path = tmp_path / "weights.json"
+        cli._write_weights(str(path), stub, 120, include_zero)
+        cli._write_weights(None, stub, 120, include_zero)
+        printed = capsys.readouterr().out
+        assert printed == path.read_text() + "\n"
+        assert ('"weight": 0.0}' in printed) == include_zero
+        for text in (path.read_text(), printed):
+            self._assert_same(text, s)
+
+    @pytest.mark.parametrize("g", [
+        generate_admissible_instance(5, 3, 6, 3, seed=1),
+        make_complete(5, 4, 3), make_complete(7, 5, 2),
+    ])
+    def test_decomposition_text_reads_as_json_does(self, capsys, g):
+        decomp, _ = solver.decompose(g)
+        cli._write_weights(None, decomp, g.structure.n, False)
+        self._assert_same(capsys.readouterr().out, g.structure.s)
+
+    @pytest.mark.parametrize("text", ["[]", "[]\n"])
+    def test_empty_list(self, text):
+        self._assert_same(text, 3)
+
+    @pytest.mark.parametrize("text", [
+        "", "[", "[ ]", "[]\n\n", " []", '[{"clique": [[0, 0], [1, 0]], "weight": 1}]',
+        '[{"clique": [[0, 0], [1, 0], [2, 0]], "weight": 1}, ]',
+        '[{"clique": [[0, 0], [1, 0], [2, 0], [3, 0]], "weight": 1}]',
+        '[{"clique": [[0, 0], [1, 0], [2, 0]], "weight": 1}]\r\n',
+    ])
+    def test_other_text_is_left_to_json(self, text):
+        assert cli._scan_weights(text.encode(), 3) is None
 
 
 class TestBench:

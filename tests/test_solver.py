@@ -451,6 +451,38 @@ class TestDecompose:
                 tracemalloc.stop()
             assert peak <= 1.3 * block
 
+    def test_weights_held_once(self):
+        # (5, 3, 64): 20.9 MB of weights; one block's cube and mask are 2.4 MB
+        g = generate_admissible_instance(5, 3, 64, 32, seed=1)
+        d, _ = decompose(g)
+        fresh = solver.FractionalDecomposition(cliques=d.cliques, y=d.y)
+        tracemalloc.start()
+        try:
+            w = fresh.weights
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * w.nbytes + 64 ** 3 * (8 + 1)
+        assert np.array_equal(w, np.concatenate([c[m] for _, m, c in d.cubes()]))
+        assert not w.flags.writeable
+
+    def test_block_rows_built_once(self):
+        # per block: the cube and mask, plus the (k, s) rows and k weights it
+        # yields; np.argwhere's s index arrays and stacked copy would exceed it
+        g = generate_admissible_instance(5, 3, 64, 32, seed=1)
+        d, _ = decompose(g)
+        fresh = solver.FractionalDecomposition(cliques=d.cliques, y=d.y)
+        tracemalloc.start()
+        try:
+            for _, index, weights in fresh.blocks():
+                del index, weights
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 64 ** 3 * (8 + 1 + 8 * (3 + 1))
+        for (_, index, _), (_, mask) in zip(d.blocks(), d.cliques.masks()):
+            assert np.array_equal(index, np.argwhere(mask))
+
     @pytest.mark.parametrize("g", [
         make_complete(5, 3, 3).delete_edges(SHARED),
         generate_admissible_instance(5, 4, 3, 1, seed=4),  # eta path, s = 4
@@ -574,6 +606,7 @@ class TestBroadcastBlocks:
             raise AssertionError("index rows or a flat weight array were built")
         with monkeypatch.context() as m:
             m.setattr(np, "argwhere", refuse)
+            m.setattr(solver, "_mask_rows", refuse)
             m.setattr(solver.CliqueList, "incidence", property(refuse))
             m.setattr(solver.FractionalDecomposition, "weights", property(refuse))
             d, rep = decompose(g)
