@@ -12,6 +12,7 @@ import argparse
 import gc
 import io
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -464,6 +465,21 @@ def _eta(text: str) -> Fraction:
     return eta
 
 
+def _tol(text: str) -> float:
+    """A positive finite tolerance; otherwise a usage error."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return tol
+
+
+def _max_iter(text: str) -> int:
+    """An iteration count of at least 1; otherwise a usage error."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fracdecomp",
@@ -491,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="solve and write clique weights")
     add_common(sp)
     sp.add_argument("--report", default=None)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=200)
+    sp.add_argument("--tol", type=_tol, default=1e-10)
+    sp.add_argument("--max-iter", type=_max_iter, default=200)
     sp.add_argument("--eta", type=_eta, default=None)
     sp.add_argument("--include-zero-weights", action="store_true")
     sp.set_defaults(func=cmd_decompose)
@@ -531,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-values", type=int, nargs="+", required=True)
     sp.add_argument("--defects", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=200)
+    sp.add_argument("--tol", type=_tol, default=1e-10)
+    sp.add_argument("--max-iter", type=_max_iter, default=200)
     sp.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_SIZE_CAP)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_bench)

@@ -89,20 +89,18 @@ class EdgeIndexing:
 
     The base order is lexicographic by (p1, p2), then (i1, i2); the G-first
     order applies the stable permutation that moves missing edges to the back.
-    Exposes flat numpy arrays (part1, idx1, part2, idx2) in G-first order for
-    vectorized scheme operators.
+    `order` maps a G-first index to its base index and `pos` is its inverse.
     """
 
     def __init__(self, structure: PartiteStructure, missing: frozenset[EdgeKey]):
         self.structure = structure
-        r, n = structure.r, structure.n
         m = structure.num_edges
-        pair_offset = {pp: t for t, pp in enumerate(structure.part_pairs())}
-        self._pair_offset = pair_offset
+        self._pairs = structure.part_pairs()
+        self._pair_offset = {pp: t for t, pp in enumerate(self._pairs)}
 
         missing_base = np.zeros(m, dtype=bool)
-        for (p1, i1), (p2, i2) in missing:
-            missing_base[pair_offset[(p1, p2)] * n * n + i1 * n + i2] = True
+        for e in missing:
+            missing_base[self.base_index(e)] = True
 
         base = np.arange(m)
         # stable: graph edges in base order, then missing edges in base order
@@ -111,17 +109,6 @@ class EdgeIndexing:
         self.pos[self.order] = base
         self.num_graph_edges = int(m - missing_base.sum())
         self.num_edges = m
-
-        pairs = np.asarray(structure.part_pairs())
-        pair_of = self.order // (n * n)
-        within = self.order % (n * n)
-        self.part1 = pairs[pair_of, 0]
-        self.part2 = pairs[pair_of, 1]
-        self.idx1 = within // n
-        self.idx2 = within % n
-        # global vertex ids p*n + i for aggregate accumulation
-        self.vert1 = self.part1 * n + self.idx1
-        self.vert2 = self.part2 * n + self.idx2
 
     def base_index(self, e: EdgeKey) -> int:
         (p1, i1), (p2, i2) = e
@@ -133,10 +120,11 @@ class EdgeIndexing:
         return int(self.pos[self.base_index(e)])
 
     def edge(self, idx: int) -> EdgeKey:
-        return (
-            (int(self.part1[idx]), int(self.idx1[idx])),
-            (int(self.part2[idx]), int(self.idx2[idx])),
-        )
+        """Canonical key of the edge with G-first index idx."""
+        n = self.structure.n
+        pair, rest = divmod(int(self.order[idx]), n * n)
+        p1, p2 = self._pairs[pair]
+        return ((p1, rest // n), (p2, rest % n))
 
 
 class MultipartiteGraph:
@@ -393,6 +381,8 @@ def generate_admissible_instance(
     uniformly random edges subject to losing at most per_part_cap edges per
     (vertex, foreign part), so delta-hat >= n - per_part_cap.
     """
+    if defect_budget < 0:
+        raise GraphError(f"defect budget {defect_budget} is negative")
     g = make_complete(r, s, n)
     if defect_budget == 0:
         return g

@@ -31,11 +31,12 @@ def dense_adjacency_matrices(r: int, n: int, cap: int = DEFAULT_SIZE_CAP):
     """The six 0/1 relation matrices of the scheme, by pairwise classification."""
     if r < 4:
         raise GraphError(f"scheme needs r >= 4, got r={r}")
-    ed = make_complete(r, 3, n).indexing
-    m = ed.num_edges
+    m = binom(r, 2) * n * n
     _check_cap(m, cap)
-    p1, p2 = ed.part1, ed.part2
-    v1, v2 = ed.vert1, ed.vert2
+    # the complete host's G-first order is the base order: pair, then (i1, i2)
+    pair, rest = np.divmod(np.arange(m), n * n)
+    p1, p2 = np.array(list(combinations(range(r), 2))).T[:, pair]
+    v1, v2 = p1 * n + rest // n, p2 * n + rest % n
 
     same_pp = (p1[:, None] == p1[None, :]) & (p2[:, None] == p2[None, :])
     share1 = (p1[:, None] == p1[None, :]) | (p1[:, None] == p2[None, :]) \

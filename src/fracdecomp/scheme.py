@@ -9,8 +9,8 @@ Relation classes on edge pairs:
   5  no shared part
 
 Provides exact intersection numbers and eigenmatrices, plus O(|E|)
-matrix-free application of every adjacency matrix A_i and primitive
-idempotent E_i via per-part-pair / per-vertex aggregates.
+matrix-free application of every element of the scheme algebra: one pass
+over the host layout, from its row, column, vertex, pair and part sums.
 """
 
 from __future__ import annotations
@@ -195,75 +195,67 @@ class SchemeElement:
 
 
 class EdgeVector:
-    """Dense vector on E(Gamma) with the aggregates the operators need.
+    """Vector on E(Gamma) in the host layout, with its row and column sums.
 
-    Aggregates: total sum T, per-part-pair sums P, per-(vertex, foreign part)
-    sums Q. They are refreshed in O(|E|) and consumed in O(1) per edge.
+    `host[t, i1, i2]` is the value on the edge ((p1, i1), (p2, i2)) of the
+    t-th part pair; `rows` sums it over i2 and `cols` over i1. The G-first
+    values are scattered into the layout once, by `edges.order`.
     """
 
-    def __init__(self, edges: EdgeIndexing, values=None):
+    def __init__(self, edges: EdgeIndexing, values):
         self.edges = edges
+        values = np.asarray(values, dtype=float)
         m = edges.num_edges
-        if values is None:
-            self.values = np.zeros(m)
-        else:
-            self.values = np.asarray(values, dtype=float)
-            if self.values.shape != (m,):
-                raise GraphError(
-                    f"vector length {self.values.shape} != edge count {m}")
-        self._refresh()
-
-    def _refresh(self):
-        ed = self.edges
-        st = ed.structure
-        r, n = st.r, st.n
-        v = self.values
-        self.T = v.sum()
-        # one bincount per aggregate on flattened (row, col) cells; each
-        # cell's values are added in edge order
-        P = np.bincount(ed.part1 * r + ed.part2, weights=v,
-                        minlength=r * r).reshape(r, r)
-        P += P.T
-        self.P = P
-        self.S = P.sum(axis=1)  # S[p] = sum of P[p, k] over k != p
-        cells = np.concatenate([ed.vert1 * r + ed.part2, ed.vert2 * r + ed.part1])
-        Q = np.bincount(cells, weights=np.concatenate([v, v]),
-                        minlength=r * n * r).reshape(r * n, r)
-        self.Q = Q
-        self.Qtot = Q.sum(axis=1)
+        if values.shape != (m,):
+            raise GraphError(f"vector length {values.shape} != edge count {m}")
+        n = edges.structure.n
+        host = np.empty(m)
+        host[edges.order] = values
+        self.host = host.reshape(-1, n, n)
+        self.rows = self.host.sum(axis=2)
+        self.cols = self.host.sum(axis=1)
 
 
-def apply_all_adjacency(vec: EdgeVector) -> np.ndarray:
-    """All six A_i applied to the vector at once; shape (6, |E|)."""
-    ed = vec.edges
-    v = vec.values
-    p1, p2, u, w = ed.part1, ed.part2, ed.vert1, ed.vert2
-    qu = vec.Q[u, p2]
-    qw = vec.Q[w, p1]
-    ppair = vec.P[p1, p2]
-    a0 = v
-    a1 = qu + qw - 2.0 * v
-    a2 = ppair - qu - qw + v
-    a3 = (vec.Qtot[u] - qu) + (vec.Qtot[w] - qw)
-    a4 = vec.S[p1] + vec.S[p2] - 2.0 * ppair - a3
-    a5 = vec.T - vec.S[p1] - vec.S[p2] + ppair
-    return np.stack([a0, a1, a2, a3, a4, a5])
+def apply_scheme_element(elem: SchemeElement, vec: EdgeVector) -> np.ndarray:
+    """sum_k a_k A_k applied to the vector in one pass; G-first order out.
+
+    On the edge ((p1, i1), (p2, i2)) of part pair t the output is
+      alpha v + beta (rows[t, i1] + cols[t, i2]) + gamma (V(p1, i1) + V(p2, i2))
+      + (a2 - 2 a4 + a5) P(t) + (a4 - a5) (S(p1) + S(p2)) + a5 T
+    with alpha = a0 - 2 a1 + a2, beta = a1 - a2 - a3 + a4, gamma = a3 - a4,
+    V the vertex totals, P the pair sums, S the part sums and T the total.
+    """
+    st = vec.edges.structure
+    r, n = st.r, st.n
+    if elem.basis == "E":
+        elem = elem.to_basis("A", eigenmatrices(r, n))
+    a0, a1, a2, a3, a4, a5 = map(float, elem.coeffs)
+    p1, p2 = np.array(st.part_pairs()).T
+    toward = np.zeros((r, r, n))  # [p, q, i]: over the edges from (p, i) to part q
+    toward[p1, p2], toward[p2, p1] = vec.rows, vec.cols
+    vertex = toward.sum(axis=1)
+    pair = vec.rows.sum(axis=1)
+    part = vertex.sum(axis=1)
+    beta, gamma = a1 - a2 - a3 + a4, a3 - a4
+    const = (a2 - 2 * a4 + a5) * pair + (a4 - a5) * (part[p1] + part[p2]) \
+        + a5 * pair.sum()
+    out = (a0 - 2 * a1 + a2) * vec.host
+    out += (beta * vec.rows + gamma * vertex[p1] + const[:, None])[:, :, None]
+    out += (beta * vec.cols + gamma * vertex[p2])[:, None, :]
+    return out.reshape(-1)[vec.edges.order]
 
 
 def apply_adjacency(i: int, vec: EdgeVector) -> np.ndarray:
     """A_i applied to the vector: output(e) = sum over i-th associates e' of v(e')."""
     if not 0 <= i < NUM_CLASSES:
         raise GraphError(f"class index {i} out of range")
-    return apply_all_adjacency(vec)[i]
+    unit = tuple(int(k == i) for k in range(NUM_CLASSES))
+    return apply_scheme_element(SchemeElement(basis="A", coeffs=unit), vec)
 
 
-def apply_scheme_element(elem: SchemeElement, vec: EdgeVector) -> np.ndarray:
-    if elem.basis == "E":
-        st = vec.edges.structure
-        elem = elem.to_basis("A", eigenmatrices(st.r, st.n))
-    av = apply_all_adjacency(vec)
-    coeffs = np.array([float(c) for c in elem.coeffs])
-    return coeffs @ av
+def apply_all_adjacency(vec: EdgeVector) -> np.ndarray:
+    """All six A_i applied to the vector, shape (6, |E|); for tests only."""
+    return np.stack([apply_adjacency(i, vec) for i in range(NUM_CLASSES)])
 
 
 def apply_idempotent(i: int, vec: EdgeVector) -> np.ndarray:

@@ -305,18 +305,17 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
     the negative count of y = z on E(G).
     """
     st = graph.structure
-    r, s, n = st.r, st.s, st.n
     if report is None:
         report = SolveReport()
     broken = cliques.broken if cliques is not None else broken_cliques(graph)
-    if eta is None and r < s + 2:
+    if eta is None and st.r < st.s + 2:
         raise SolveError("host operator singular at r = s+1; use the eta path")
     if eta is not None:
         report.eta = float(eta)
     vec = lambda v: EdgeVector(graph.indexing, v)
-    minv = lambda v: apply_mgamma_inverse(r, s, n, vec(v), eta)
+    minv = lambda v: apply_mgamma_inverse(vec(v), eta)
     delta = lambda v: apply_delta(v, graph, broken, eta)
-    mfull = lambda v: apply_mgamma(r, s, n, vec(v), eta)
+    mfull = lambda v: apply_mgamma(vec(v), eta)
 
     m = graph.indexing.num_edges
     ones = np.ones(m)

@@ -126,15 +126,16 @@ def _inverse_element(r: int, s: int, n: int, eta) -> SchemeElement:
     return _a_basis(r, n, [1 / lam for lam in tab.eigenvalues])
 
 
-def apply_mgamma(r: int, s: int, n: int, vec: EdgeVector, eta=None) -> np.ndarray:
+def apply_mgamma(vec: EdgeVector, eta=None) -> np.ndarray:
     """M applied to the vector, plus eta E_2 when eta is given (r = s+1 only)."""
-    return apply_scheme_element(_host_element(r, s, n, eta), vec)
+    st = vec.edges.structure
+    return apply_scheme_element(_host_element(st.r, st.s, st.n, eta), vec)
 
 
-def apply_mgamma_inverse(r: int, s: int, n: int, vec: EdgeVector,
-                         eta=None) -> np.ndarray:
+def apply_mgamma_inverse(vec: EdgeVector, eta=None) -> np.ndarray:
     """The inverse of M (plus eta E_2 when eta is given) applied to the vector."""
-    return apply_scheme_element(_inverse_element(r, s, n, eta), vec)
+    st = vec.edges.structure
+    return apply_scheme_element(_inverse_element(st.r, st.s, st.n, eta), vec)
 
 
 def norm_mgamma_inverse(r: int, s: int, n: int) -> Fraction:

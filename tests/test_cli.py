@@ -54,6 +54,12 @@ class TestGen:
     def test_unknown_command_is_usage_error(self):
         assert run(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("r", ["4", "5"])
+    def test_negative_defects_is_usage_error(self, capsys, r):
+        assert run(["gen", "-r", r, "-s", "3", "-n", "4", "--defects", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
 
 class TestCheck:
     def test_admissible_graph_exits_zero(self, graph_file, capsys):
@@ -189,6 +195,19 @@ class TestDecomposeAndVerify:
                     "--output", str(tmp_path / "w.json"),
                     "--report", str(report)]) == EXIT_VERIFY_FAILED
         assert json.loads(report.read_text())["verified"] is False
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize("command,graph", [
+        ("decompose", ["-r", "5", "-s", "3", "-n", "2"]),
+        ("bench", ["-r", "5", "-s", "3", "--n-values", "2"])])
+    @pytest.mark.parametrize("flag,value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1"),
+        ("--tol", "abc"), ("--max-iter", "0"), ("--max-iter", "-3"),
+        ("--max-iter", "1.5")])
+    def test_bad_value_is_usage_error(self, capsys, command, graph, flag, value):
+        assert run([command, *graph, flag, value]) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
 
 
 class TestEtaOption:

@@ -205,6 +205,12 @@ class TestGenerator:
         with pytest.raises(GraphError):
             generate_admissible_instance(5, 3, 2, 1000, seed=0)
 
+    @pytest.mark.parametrize("r", [4, 5])
+    def test_negative_budget_raises(self, r):
+        # r = s+1 deletes transversals, r >= s+2 random capped edges
+        with pytest.raises(GraphError, match="negative"):
+            generate_admissible_instance(r, 3, 4, -1, seed=0)
+
 
 class TestJsonFormat:
     def test_round_trip(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracdecomp import scheme
+from fracdecomp import oracle, scheme
 from fracdecomp.graph_core import GraphError, generate_admissible_instance, make_complete
 from fracdecomp.oracle import dense_adjacency_matrices, dense_idempotents
 from fracdecomp.scheme import (
@@ -120,6 +120,13 @@ class TestSchemeElement:
             SchemeElement(basis="B", coeffs=(0,) * 6)
 
 
+def defected_graphs():
+    """(5,3,6) minus 12 edges at cap 2, and (4,3,4) minus a transversal."""
+    yield generate_admissible_instance(5, 3, 6, 12, seed=4, per_part_cap=2)
+    yield make_complete(4, 3, 4).delete_transversal_clique(
+        [(p, p) for p in range(4)])
+
+
 @pytest.fixture(scope="module")
 def host_4_2():
     ed = make_complete(4, 3, 2).indexing
@@ -135,33 +142,26 @@ class TestMatrixFreeOperators:
         for i in range(NUM_CLASSES):
             assert np.allclose(out[i], valency(i, 4, 2))
 
-    def test_aggregates_match_add_at_reference(self):
-        ed = generate_admissible_instance(5, 3, 6, 12, seed=4, per_part_cap=2).indexing
-        r, n = 5, 6
-        v = np.random.default_rng(3).standard_normal(ed.num_edges)
-        vec = EdgeVector(ed, v)
-        P = np.zeros((r, r))
-        np.add.at(P, (ed.part1, ed.part2), v)
-        Q = np.zeros((r * n, r))
-        np.add.at(Q, (ed.vert1, ed.part2), v)
-        np.add.at(Q, (ed.vert2, ed.part1), v)
-        # same additions in the same order: equal to the last bit
-        assert np.array_equal(vec.P, P + P.T)
-        assert np.array_equal(vec.Q, Q)
-
     def test_a0_is_identity(self, host_4_2):
         ed, _ = host_4_2
         v = np.random.default_rng(0).standard_normal(ed.num_edges)
         assert np.array_equal(apply_adjacency(0, EdgeVector(ed, v)), v)
 
     def test_matches_dense_oracle(self, host_4_2):
-        ed, A = host_4_2
+        # the complete host, then defected graphs whose G-first order
+        # permutes the base order
+        cases = [host_4_2]
+        for g in defected_graphs():
+            st = g.structure
+            A = [oracle._permuted(a, g) for a in dense_adjacency_matrices(st.r, st.n)]
+            cases.append((g.indexing, A))
         rng = np.random.default_rng(1)
-        for _ in range(5):
-            v = rng.standard_normal(ed.num_edges)
-            out = apply_all_adjacency(EdgeVector(ed, v))
-            for i in range(NUM_CLASSES):
-                assert np.abs(A[i] @ v - out[i]).max() < 1e-12
+        for ed, A in cases:
+            for _ in range(5):
+                v = rng.standard_normal(ed.num_edges)
+                out = apply_all_adjacency(EdgeVector(ed, v))
+                for i in range(NUM_CLASSES):
+                    assert np.abs(A[i] @ v - out[i]).max() < 1e-12
 
     def test_product_identity_as_operators(self, host_4_2):
         # A_i A_j = sum_k p_ij^k A_k on random vectors

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from fracdecomp import oracle, spectral
-from fracdecomp.graph_core import GraphError, binom, make_complete
+from fracdecomp.graph_core import (
+    GraphError,
+    binom,
+    generate_admissible_instance,
+    make_complete,
+)
 from fracdecomp.scheme import EdgeVector, apply_idempotent, eigenmatrices
 from fracdecomp.spectral import (
     apply_mgamma,
@@ -28,7 +33,7 @@ class TestMgammaElement:
 
     def test_applied_to_all_ones(self):
         ed = make_complete(5, 3, 2).indexing
-        out = apply_mgamma(5, 3, 2, EdgeVector(ed, np.ones(ed.num_edges)))
+        out = apply_mgamma(EdgeVector(ed, np.ones(ed.num_edges)))
         assert np.allclose(out, 18.0)
 
 
@@ -79,32 +84,42 @@ class TestSpectrum:
 class TestInverseApplication:
     def test_inverse_of_ones(self):
         ed = make_complete(5, 3, 2).indexing
-        out = apply_mgamma_inverse(5, 3, 2, EdgeVector(ed, np.ones(ed.num_edges)))
+        out = apply_mgamma_inverse(EdgeVector(ed, np.ones(ed.num_edges)))
         assert np.allclose(out, 1 / 18)
 
     def test_round_trip(self):
         ed = make_complete(5, 3, 2).indexing
         rng = np.random.default_rng(0)
         v = rng.standard_normal(ed.num_edges)
-        back = apply_mgamma(
-            5, 3, 2, EdgeVector(ed, apply_mgamma_inverse(5, 3, 2, EdgeVector(ed, v))))
+        back = apply_mgamma(EdgeVector(ed, apply_mgamma_inverse(EdgeVector(ed, v))))
         assert np.abs(back - v).max() < 1e-9
 
     def test_inverse_matches_dense(self):
-        ed = make_complete(5, 3, 2).indexing
-        Minv = np.linalg.inv(oracle.brute_mgamma(5, 3, 2).astype(float))
+        # the complete host, then defected graphs whose G-first order
+        # permutes the base order, the second on the eta path
+        g = generate_admissible_instance(5, 3, 6, 12, seed=4, per_part_cap=2)
+        h = make_complete(4, 3, 4).delete_transversal_clique(
+            [(p, p) for p in range(4)])
         rng = np.random.default_rng(1)
-        v = rng.standard_normal(ed.num_edges)
-        out = apply_mgamma_inverse(5, 3, 2, EdgeVector(ed, v))
-        assert np.abs(out - Minv @ v).max() < 1e-8
+        for graph, eta in [(make_complete(5, 3, 2), None), (g, None),
+                           (h, eta_star(3, 4))]:
+            st = graph.structure
+            M = oracle.brute_mgamma(st.r, st.s, st.n).astype(float)
+            if eta is not None:
+                M += float(eta) * oracle.dense_idempotents(st.r, st.n)[2]
+            Minv = oracle._permuted(np.linalg.inv(M), graph)
+            ed = graph.indexing
+            v = rng.standard_normal(ed.num_edges)
+            out = apply_mgamma_inverse(EdgeVector(ed, v), eta)
+            assert np.abs(out - Minv @ v).max() < 1e-8
 
     def test_eta_inverse_round_trip(self):
         ed = make_complete(4, 3, 2).indexing
         eta = eta_star(3, 2)
         rng = np.random.default_rng(2)
         v = rng.standard_normal(ed.num_edges)
-        inv = apply_mgamma_inverse(4, 3, 2, EdgeVector(ed, v), eta)
-        back = (apply_mgamma(4, 3, 2, EdgeVector(ed, inv))
+        inv = apply_mgamma_inverse(EdgeVector(ed, v), eta)
+        back = (apply_mgamma(EdgeVector(ed, inv))
                 + float(eta) * apply_idempotent(2, EdgeVector(ed, inv)))
         assert np.abs(back - v).max() < 1e-9
 
@@ -119,7 +134,7 @@ class TestInverseApplication:
     def test_singular_without_eta(self):
         ed = make_complete(4, 3, 2).indexing
         with pytest.raises(GraphError):
-            apply_mgamma_inverse(4, 3, 2, EdgeVector(ed, np.ones(ed.num_edges)))
+            apply_mgamma_inverse(EdgeVector(ed, np.ones(ed.num_edges)))
 
 
 class TestHostOperator:
@@ -128,8 +143,8 @@ class TestHostOperator:
         ed = make_complete(r, s, n).indexing
         eta = eta_star(s, n)
         v = np.random.default_rng(12).standard_normal(ed.num_edges)
-        shifted = apply_mgamma(r, s, n, EdgeVector(ed, v), eta)
-        expect = (apply_mgamma(r, s, n, EdgeVector(ed, v))
+        shifted = apply_mgamma(EdgeVector(ed, v), eta)
+        expect = (apply_mgamma(EdgeVector(ed, v))
                   + float(eta) * apply_idempotent(2, EdgeVector(ed, v)))
         assert np.abs(shifted - expect).max() < 1e-12
 
@@ -159,7 +174,7 @@ class TestHostOperator:
     def test_eta_rejected_off_regime(self, apply):
         ed = make_complete(5, 3, 2).indexing
         with pytest.raises(GraphError):
-            apply(5, 3, 2, EdgeVector(ed, np.ones(ed.num_edges)), Fraction(1))
+            apply(EdgeVector(ed, np.ones(ed.num_edges)), Fraction(1))
 
 
 class TestNormFormulas:
