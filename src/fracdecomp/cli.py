@@ -38,14 +38,22 @@ EXIT_NO_CONVERGENCE = 4
 
 
 def _load_graph(args) -> MultipartiteGraph:
-    if args.input:
+    """The graph of --input, or the one that -r, -s, -n, --defects and --seed
+    describe. Raises GraphError if --input comes with any of those flags,
+    which it would leave unused; they default to None to tell them apart."""
+    if args.input is not None:
+        given = [("-" if len(name) == 1 else "--") + name
+                 for name in ("r", "s", "n", "defects", "seed")
+                 if getattr(args, name) is not None]
+        if given:
+            raise GraphError(f"--input cannot come with {', '.join(given)}")
         with open(args.input) as fh:
             return MultipartiteGraph.from_json(fh.read())
     if args.r is None or args.s is None or args.n is None:
         raise GraphError("need --input or all of -r, -s, -n")
     if args.defects:
         return generate_admissible_instance(
-            args.r, args.s, args.n, args.defects, seed=args.seed)
+            args.r, args.s, args.n, args.defects, seed=args.seed or 0)
     return make_complete(args.r, args.s, args.n)
 
 
@@ -61,7 +69,7 @@ def cmd_gen(args) -> int:
     if args.r is None or args.s is None or args.n is None:
         raise GraphError("gen needs all of -r, -s, -n")
     g = generate_admissible_instance(
-        args.r, args.s, args.n, args.defects, seed=args.seed)
+        args.r, args.s, args.n, args.defects or 0, seed=args.seed or 0)
     _write(args.output, g.to_json())
     return EXIT_OK
 
@@ -89,7 +97,7 @@ VERTEX = "[%d, %d]"  # a clique vertex of the weights file: [part, index]
 
 def _record_format(s: int) -> str:
     """The %-format of one weights-file record: s VERTEX texts, then the weight."""
-    return '{"clique": [' + ", ".join(["%s"] * s) + '], "weight": %r}'
+    return '{"clique": [' + ", ".join(["%s"] * s) + '], "weight": %s}'
 
 
 def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
@@ -98,11 +106,13 @@ def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
 
     The text is json.dumps of the list of {"clique": [[part, index], ...],
     "weight": w} records. Each chunk of up to WEIGHTS_CHUNK records is one
-    `%` format call over the (k, s+1) object cells of its records: the
-    block's vertex strings, taken from one table by index, and the weights,
-    which an object array holds as Python floats, whose %r is json's float
-    text. So no record object and no whole-file string exists at any time,
-    and the blocks are built one at a time from the implicit decomposition.
+    `%` format call over the (k, s+1) object cells of its records, each
+    taken from a per-block table by index: the block's vertex strings, and
+    the repr of each distinct weight, which is json's float text. Weights
+    are told apart by bit pattern, so -0.0 and 0.0 keep their own texts, and
+    a block whose weights repeat formats each of them once. So no record
+    object and no whole-file string exists at any time, and the blocks are
+    built one at a time from the implicit decomposition.
     """
     with open(path, "w") if path else nullcontext(sys.stdout) as fh:
         sep = "["
@@ -114,16 +124,20 @@ def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
             # the string of vertex (parts[j], i) at j * n + i
             vertices = np.array([VERTEX % (p, i) for p in parts for i in range(n)],
                                 dtype=object)
+            # the text of weights[k] is texts[which[k]], one repr per bit pattern
+            bits, which = np.unique(weights.view(np.uint64), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                             dtype=object)
             record = _record_format(s)
             for start in range(0, len(weights), WEIGHTS_CHUNK):
                 rows = index[start:start + WEIGHTS_CHUNK]
                 cells = np.empty((len(rows), s + 1), dtype=object)
                 cells[:, :s] = vertices[rows + n * np.arange(s)]
-                cells[:, s] = weights[start:start + WEIGHTS_CHUNK]  # as Python floats
+                cells[:, s] = texts[which[start:start + WEIGHTS_CHUNK]]
                 fh.write(sep + ", ".join([record] * len(rows))
                          % tuple(cells.ravel().tolist()))
                 sep = ", "
-            del index, weights  # before the next block is built
+            del index, weights, which  # before the next block is built
         fh.write("[]" if sep == "[" else "]")
         if not path:
             fh.write("\n")
@@ -490,14 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-r", type=int, default=None)
         sp.add_argument("-s", type=int, default=None)
         sp.add_argument("-n", type=int, default=None)
+        sp.add_argument("--defects", type=int, default=None, help="default 0")
+        sp.add_argument("--seed", type=int, default=None, help="default 0")
         sp.add_argument("--output", default=None)
         if graph_input:
-            sp.add_argument("--input", default=None, help="graph JSON file")
-            sp.add_argument("--defects", type=int, default=0)
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--input", default=None,
+                            help="graph JSON file, in place of -r/-s/-n/--defects/--seed")
 
     sp = sub.add_parser("gen", help="generate an admissible instance")
-    add_common(sp)
+    add_common(sp, graph_input=False)
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("check", help="print the admissibility report")

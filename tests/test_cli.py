@@ -60,6 +60,39 @@ class TestGen:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
 
+    def test_input_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        assert run(["gen", "-r", "4", "-s", "3", "-n", "2",
+                    "--input", str(tmp_path / "none.json"),
+                    "--output", str(path)]) == EXIT_USAGE
+        assert not path.exists() and "--input" in capsys.readouterr().err
+
+
+class TestInputExcludesParameters:
+    """--input takes the graph from its file, so a flag that would build one
+    from parameters is refused, not ignored; an explicit default counts."""
+
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    @pytest.mark.parametrize("flags", [
+        ["-r", "9", "-s", "7", "-n", "100", "--defects", "5"],
+        ["-r", "4"], ["-s", "3"], ["-n", "4"], ["--defects", "0"], ["--seed", "0"],
+    ])
+    def test_parameter_flag_is_refused(self, graph_file, tmp_path, capsys,
+                                       command, flags):
+        out = tmp_path / "out.json"
+        assert run([command, "--input", str(graph_file), *flags,
+                    "--output", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        assert "error:" in captured.err and flags[0] in captured.err
+
+    def test_parameters_alone_still_build_the_graph(self, graph_file, capsys):
+        assert run(["check", "-r", "4", "-s", "3", "-n", "4", "--defects", "1",
+                    "--seed", "3"]) == EXIT_OK
+        from_flags = capsys.readouterr().out
+        assert run(["check", "--input", str(graph_file)]) == EXIT_OK
+        assert capsys.readouterr().out == from_flags
+
 
 class TestCheck:
     def test_admissible_graph_exits_zero(self, graph_file, capsys):

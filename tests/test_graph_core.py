@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -210,6 +211,69 @@ class TestGenerator:
         # r = s+1 deletes transversals, r >= s+2 random capped edges
         with pytest.raises(GraphError, match="negative"):
             generate_admissible_instance(r, 3, 4, -1, seed=0)
+
+    # sha256 of to_json() for seeds 0-9, keyed by (r, s, n, budget, cap):
+    # the benchmark's three workloads, then an r >= s+2, s = 4 instance. The
+    # benchmark compares commits on these instances, so a rewrite of the
+    # generator must keep them bit for bit.
+    DIGESTS = {
+        (5, 3, 48, 24, 1): [
+            "f54a9e49e9eadb941c8f77e259e19d5738f3d599f1c02539e9f86d8801b2dd2b",
+            "a2fc612e653ed9e7134519effa5c54c8d25687a79b6d80c1abe1b58ff72f4d32",
+            "4e65ac826537107123d700cc841de22eab6af1a685e04ac23a08596489dc4077",
+            "0174228a21a35df43d2bb9cbcd428c90d87674fee71c3235ccbfd46cf49ec307",
+            "0bc6822386e30196563751daac926d5016f801480f15a8bda68bd6e9d6b6708e",
+            "6f53efc63282f91154af5001ae223dc858fdfd26f14f2da5fd007332c1daaf39",
+            "085d118987f8a55be7ed9f88833f9023255ad3b17d9c04cf12c8930bafcfebc9",
+            "29e2f9860cce8647f008d607239e62bf1952c2d7499a37531054434b48008c3f",
+            "25ef8fb78253bb3484f6e9a62ba6aca03d66bfbe7226e9318b4a63a3d461d1b7",
+            "ecd2f990e7e0c8e4ec135cdf00212aab15707dba06d7119feb259d6b4b19afec",
+        ],
+        (5, 3, 16, 400, 4): [
+            "ee21a5b152c10d8e548de847bde00214a7c6534d703d8f632c5e6e181c8b1843",
+            "55f84bbb4e698f3394f8abf53d3159977d97358471e1b5d36c16279a4e57bde0",
+            "b166ac13127b8903ebf30540a3136ddc06da2aa0bd04e88da8ff563bc7df1874",
+            "1c8198d53567067106aa7b9d0e43e9099d4b17e55e8611a101ee98dafd2b8e34",
+            "47767f9a8031f1555689ef65f48d2c22b172b33d751fc8fdf8d6f599d8e8480c",
+            "b2a4cab90546259e0aae07f9d47b6ea64c73835abe7c38c83fa77f04668d1075",
+            "de2a34263bc6b4d3c0cbbd1a43b58a9cccf483a092926fdcb7f087b8c34892f7",
+            "74e8bf7ed9aeed647996eeb851214c6f05fdf96bbce0073ee0a1e39f70bf558e",
+            "4b28bcb797f616fe437bcc1067f69f3a75f455fdd955e3dabfce141c9800fc29",
+            "aefddad0cdcb2093d5609144f543909f029f0fd42ecc15f334c374861eb9e271",
+        ],
+        (5, 4, 12, 6, 1): [
+            "c6918bcd5f62b2c4ac77f38c459ed402c2233cd2b7353a3beea1fbc78b432a7c",
+            "636c257c930e69a16479973b0adc75e46b97c98f59afac0ba89504bfee52a8a7",
+            "8f4db846370a428255f7b55a06658bc8446a2946f2a90e5058afef7dc775d1be",
+            "72e73f37cc4dff013e8f7e0b4a62314bfe4d1232c1adbb56ce69fef078c2a5da",
+            "4b6d6a032fef71673bd78d616c1c8df0922bafc959acdce8b4c1eb70ef683430",
+            "79dc4b9232792fc95edc5282a665d35a78836aaef2ae69e35b2a362a01f0d854",
+            "a11828948bac45f24b91024b2d77964730967064271819f26de52fbcf1f18008",
+            "6a8c04fe7e82cab2141ba991c37010220ca83e71e66b7ed1b2b7099c6c39a66d",
+            "714a22250d2f4a4c879ec46c53bfd6a6e190b6bc61177ba85a0120d03ccba94a",
+            "95f78357cb8f2aeefaa2a222c28af0f84e90454200544639e4d9dc2f9d00be39",
+        ],
+        (6, 4, 8, 20, 2): [
+            "45c9447d0342cc1075213ff10449c74e5f0fd6893ad725e2538a44539113c345",
+            "f88b7ec876c9623d565b9efc2d0f7cacac96282cd8db57aa212419abcfbcbaf4",
+            "ec757a18444aab343ff59ec1eaa862f15c3fd66f2cd9aeb6aae3a2de303ea173",
+            "093dc6995233791d32dca32234aa5d136f6bf4728fbb0d69b94fcb88853f025e",
+            "ab97a8f261a72115ed93b77ae2d15a01cff52bc1adb085ef60066ca48eeac04a",
+            "a87ca18f00f458b0a384df9fb82a763e1f1bc4aa662d89a44066de217f8fb508",
+            "b873cc45f11aeb4057346cfa2ee4e79cc78d19a1d3aeb3af6a20421f360b8a86",
+            "b2c3cac72fed71ad2691419df2ef8f23aad467dc471cf0626d6bc6b8c30aa92b",
+            "841bb332ca9a4cb3d01d2cc1646368ff7673dff12bbd6ff5a6ac32ef3b58eb8a",
+            "b756941cf6c862e62f0cc625e56ede76f58c82c52b1f99484c2d98f799f38ab5",
+        ],
+    }
+
+    @pytest.mark.parametrize("params", list(DIGESTS))
+    def test_instances_are_pinned(self, params):
+        r, s, n, budget, cap = params
+        got = [hashlib.sha256(generate_admissible_instance(
+                   r, s, n, budget, seed=seed, per_part_cap=cap).to_json().encode())
+               .hexdigest() for seed in range(10)]
+        assert got == self.DIGESTS[params]
 
 
 class TestJsonFormat:

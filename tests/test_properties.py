@@ -11,6 +11,7 @@ import json
 from contextlib import redirect_stdout
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -162,3 +163,65 @@ def test_weights_file_of_hand_set_weights(tmp_path):
         path = tmp_path / "weights.json"
         cli._write_weights(str(path), stub, 3, include_zero)
         assert path.read_text() + "\n" == want
+
+
+class _RepeatedWeights(_HandSetBlocks):
+    """Hand-set blocks of weights that repeat within a block and across its
+    chunks of two records (0.1 + 0.2 at records 0 and 3 of the first, 1/3 at
+    1 and 4), -0.0 beside 0.0, and a last block of distinct weights."""
+
+    BLOCKS = [
+        ((0, 1, 2), [[0, 0, 0], [0, 1, 2], [1, 2, 0], [2, 2, 2], [1, 0, 1]],
+         [0.1 + 0.2, 1 / 3, 5e-324, 0.1 + 0.2, 1 / 3]),
+        ((0, 1, 3), [[0, 1, 2], [1, 1, 1], [2, 0, 1], [2, 2, 0]],
+         [-0.0, 0.0, -0.0, 1e16]),
+        ((0, 2, 3), [[0, 0, 1], [1, 2, 0], [2, 1, 1]], [1e16, 5e-324, 0.25]),
+    ]
+
+
+def _same_arrays(a, b):
+    """Equal shapes, dtypes and bits: -0.0 and 0.0 differ."""
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("chunk", [2, cli.WEIGHTS_CHUNK])
+@pytest.mark.parametrize("include_zero", [False, True])
+def test_repeated_weights_file_is_json_dumps_of_the_records(
+        tmp_path, monkeypatch, chunk, include_zero):
+    monkeypatch.setattr(cli, "WEIGHTS_CHUNK", chunk)
+    stub = _RepeatedWeights()
+    want = _records_json(stub.items(), include_zero)
+    assert ('"weight": -0.0' in want) == include_zero
+    path = tmp_path / "weights.json"
+    cli._write_weights(str(path), stub, 3, include_zero)
+    printed = _weights_text(stub, 3, include_zero)
+    assert _by_record(path.read_text() + "\n") == _by_record(want)
+    assert _by_record(printed) == _by_record(want)
+    for data in (path.read_bytes(), printed.encode()):
+        scanned = cli._scan_weights(data, 3)
+        assert scanned is not None  # the writer's layout, so scanned
+        assert _same_arrays(scanned, cli._read_weights(json.loads(data), 3))
+
+
+def test_each_distinct_weight_is_formatted_once(tmp_path, monkeypatch):
+    formatted = []
+
+    def counting_repr(x):
+        formatted.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(cli, "WEIGHTS_CHUNK", 2)
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    stub = _RepeatedWeights()
+    cli._write_weights(str(tmp_path / "weights.json"), stub, 3, True)
+    # by bit pattern within each block: 1/3 and 0.1 + 0.2 once each in the
+    # first block, -0.0 and 0.0 once each in the second, 1e16 once per block
+    want = [sorted(set(np.array(w).view(np.uint64).tolist()))
+            for _, _, w in stub.BLOCKS]
+    got, start = [], 0
+    for size in map(len, want):
+        got.append(sorted(np.array(formatted[start:start + size])
+                          .view(np.uint64).tolist()))
+        start += size
+    assert start == len(formatted) == 9 and got == want
