@@ -37,10 +37,23 @@ EXIT_VERIFY_FAILED = 3
 EXIT_NO_CONVERGENCE = 4
 
 
+def _seed(args) -> int:
+    """The generator seed of --seed, 0 by default.
+
+    Raises GraphError if --seed is given without defects: the graph is then
+    complete, and the seed would go unused.
+    """
+    if args.seed is not None and not args.defects:
+        raise GraphError("--seed needs --defects above 0; "
+                         "a graph without defects is complete and draws nothing")
+    return args.seed or 0
+
+
 def _load_graph(args) -> MultipartiteGraph:
     """The graph of --input, or the one that -r, -s, -n, --defects and --seed
     describe. Raises GraphError if --input comes with any of those flags,
-    which it would leave unused; they default to None to tell them apart."""
+    which it would leave unused; they default to None to tell them apart.
+    So does --seed without defects."""
     if args.input is not None:
         given = [("-" if len(name) == 1 else "--") + name
                  for name in ("r", "s", "n", "defects", "seed")
@@ -51,9 +64,10 @@ def _load_graph(args) -> MultipartiteGraph:
             return MultipartiteGraph.from_json(fh.read())
     if args.r is None or args.s is None or args.n is None:
         raise GraphError("need --input or all of -r, -s, -n")
+    seed = _seed(args)
     if args.defects:
         return generate_admissible_instance(
-            args.r, args.s, args.n, args.defects, seed=args.seed or 0)
+            args.r, args.s, args.n, args.defects, seed=seed)
     return make_complete(args.r, args.s, args.n)
 
 
@@ -69,7 +83,7 @@ def cmd_gen(args) -> int:
     if args.r is None or args.s is None or args.n is None:
         raise GraphError("gen needs all of -r, -s, -n")
     g = generate_admissible_instance(
-        args.r, args.s, args.n, args.defects or 0, seed=args.seed or 0)
+        args.r, args.s, args.n, args.defects or 0, seed=_seed(args))
     _write(args.output, g.to_json())
     return EXIT_OK
 
@@ -442,9 +456,9 @@ def _merged_spectrum(tab: spectral.SpectrumTable) -> dict:
 
 def cmd_bench(args) -> int:
     rows = []
+    seed = _seed(args)
     for n in args.n_values:
-        g = (generate_admissible_instance(args.r, args.s, n, args.defects,
-                                          seed=args.seed)
+        g = (generate_admissible_instance(args.r, args.s, n, args.defects, seed=seed)
              if args.defects else make_complete(args.r, args.s, n))
         best = None
         iters = None
@@ -561,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-s", type=int, required=True)
     sp.add_argument("--n-values", type=int, nargs="+", required=True)
     sp.add_argument("--defects", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None, help="default 0")
     sp.add_argument("--tol", type=_tol, default=1e-10)
     sp.add_argument("--max-iter", type=_max_iter, default=200)
     sp.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_SIZE_CAP)

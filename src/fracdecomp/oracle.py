@@ -117,6 +117,69 @@ def brute_cliques(graph: MultipartiteGraph):
                 yield K
 
 
+def _block_broken(n: int, parts, missing: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Host cliques on one part subset through a missing edge, with duplicates.
+
+    Each missing edge in the column pair t = (a, b) is extended by every choice
+    of the other s-2 vertices. Returns the cliques and, per row, the t that
+    generated it; a clique with several missing edges appears once per edge.
+    """
+    s = len(parts)
+    free = np.indices((n,) * (s - 2)).reshape(s - 2, -1).T
+    rows, gen = [], []
+    for t, (a, b) in enumerate(combinations(range(s), 2)):
+        if (parts[a], parts[b]) not in missing:
+            continue
+        i1, i2 = missing[(parts[a], parts[b])]
+        block = np.empty((i1.size, free.shape[0], s), dtype=np.int64)
+        block[:, :, a] = i1[:, None]
+        block[:, :, b] = i2[:, None]
+        block[:, :, [c for c in range(s) if c not in (a, b)]] = free[None]
+        rows.append(block.reshape(-1, s))
+        gen.append(np.full(rows[-1].shape[0], t))
+    if not rows:
+        return np.zeros((0, s), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(rows), np.concatenate(gen)
+
+
+def broken_cliques(graph: MultipartiteGraph) -> np.ndarray:
+    """G-first edge indices of the host cliques through a missing edge, listed.
+
+    One row per broken clique, shape (|B|, C(s,2)). A broken clique is kept
+    only from its first missing edge in column order, so it appears once
+    however many missing edges it contains. The explicit reference for the
+    solver's implicit defect operator.
+    """
+    st = graph.structure
+    r, s, n = st.r, st.s, st.n
+    ed = graph.indexing
+    missing = {}
+    for (p1, i1), (p2, i2) in graph.missing:
+        missing.setdefault((p1, p2), []).append((i1, i2))
+    missing = {pp: np.array(cells, dtype=np.int64).T for pp, cells in missing.items()}
+    pair_pos = {pp: t for t, pp in enumerate(st.part_pairs())}
+    broken = [np.zeros((0, s * (s - 1) // 2), dtype=np.int64)]
+    for parts in combinations(range(r), s):
+        lost, gen = _block_broken(n, parts, missing)
+        if lost.shape[0]:
+            ids = np.stack([ed.pos[pair_pos[(parts[a], parts[b])] * n * n
+                                   + lost[:, a] * n + lost[:, b]]
+                            for a, b in combinations(range(s), 2)], axis=1)
+            broken.append(ids[np.argmax(ids >= ed.num_graph_edges, axis=1) == gen])
+    return np.concatenate(broken)
+
+
+def broken_sums(graph: MultipartiteGraph, z: np.ndarray) -> np.ndarray:
+    """W_B W_B^T z over the listed broken cliques B, G-first order.
+
+    Each broken clique puts z summed over its edges onto its edges.
+    """
+    broken = broken_cliques(graph)
+    sigma = z[broken].sum(axis=1)
+    return np.bincount(broken.ravel(), weights=np.repeat(sigma, broken.shape[1]),
+                       minlength=z.size)
+
+
 def brute_mgamma(r: int, s: int, n: int, cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     """Dense clique-pair matrix of the complete host, by clique enumeration."""
     host = make_complete(r, s, n)

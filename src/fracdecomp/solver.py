@@ -1,7 +1,7 @@
 """End-to-end fractional clique decomposition pipeline.
 
 Finds the K_s copies of G as one boolean n^s mask cube per part subset,
-applies the defect operator through the host cliques that G lost, runs the
+applies the defect operator from G's missing edges (`defect`), runs the
 contractive fixed-point iteration for the block system, and holds the
 decomposition implicitly as the edge solution y, whose weight cubes are
 built block by block on demand. The decomposition is verified edge by edge
@@ -22,9 +22,11 @@ from .graph_core import (
     EdgeKey,
     GraphError,
     MultipartiteGraph,
+    binom,
     check_admissible,
     threshold_c,
 )
+from .defect import DefectPlan, defect_plan
 from .scheme import EdgeVector, apply_idempotent
 from .spectral import apply_mgamma, apply_mgamma_inverse, eta_star
 
@@ -47,18 +49,18 @@ class VerificationFailed(SolveError):
 
 @dataclass
 class CliqueList:
-    """The K_s copies of G, block by block, plus the host cliques G lost.
+    """The K_s copies of G, block by block, plus the defect plan of G.
 
     A block is a part subset that has cliques, in lexicographic order of the
     subsets. Its cliques are the True cells of one boolean n^s mask cube:
     cell (i_0, ..., i_{s-1}) is the clique with vertex (parts[j], i_j) in
     column j. The masks are rebuilt from G's missing edges on every pass,
-    one block at a time, so nothing is stored per clique. `broken` lists the
-    C(s,2) G-first edge indices of the host cliques that contain at least
-    one missing edge, each exactly once: the defect operator needs only those.
+    one block at a time, so nothing is stored per clique. `plan` holds what
+    the defect operator needs of the host cliques that G lost, and their
+    count; the lost cliques themselves are never listed.
     """
 
-    broken: np.ndarray  # shape (|B|, C(s,2))
+    plan: DefectPlan
     graph: MultipartiteGraph = field(repr=False)
 
     @cached_property
@@ -90,11 +92,9 @@ class CliqueList:
             del mask  # before the next block's mask is allocated
 
     def __len__(self):
-        count = 0
-        for _, mask in self.masks():
-            count += int(np.count_nonzero(mask))
-            del mask
-        return count
+        """C(r,s) n^s host cliques less the broken ones; no pass over the masks."""
+        st = self.graph.structure
+        return binom(st.r, st.s) * st.n ** st.s - self.plan.num_broken
 
     @property
     def blocks(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -164,58 +164,14 @@ def _missing_by_pair(graph: MultipartiteGraph) -> dict:
             for pp in np.unique(pairs)}
 
 
-def _block_broken(n: int, parts, missing: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Host cliques on one part subset through a missing edge, with duplicates.
-
-    Each missing edge in the column pair t = (a, b) is extended by every choice
-    of the other s-2 vertices. Returns the cliques and, per row, the t that
-    generated it; a clique with several missing edges appears once per edge.
-    """
-    s = len(parts)
-    free = np.indices((n,) * (s - 2)).reshape(s - 2, -1).T
-    rows, gen = [], []
-    for t, (a, b) in enumerate(combinations(range(s), 2)):
-        if (parts[a], parts[b]) not in missing:
-            continue
-        i1, i2 = missing[(parts[a], parts[b])]
-        block = np.empty((i1.size, free.shape[0], s), dtype=np.int64)
-        block[:, :, a] = i1[:, None]
-        block[:, :, b] = i2[:, None]
-        block[:, :, [c for c in range(s) if c not in (a, b)]] = free[None]
-        rows.append(block.reshape(-1, s))
-        gen.append(np.full(rows[-1].shape[0], t))
-    if not rows:
-        return np.zeros((0, s), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(rows), np.concatenate(gen)
-
-
-def broken_cliques(graph: MultipartiteGraph) -> np.ndarray:
-    """G-first edge indices of the host cliques through a missing edge.
-
-    One row per broken clique, shape (|B|, C(s,2)). A broken clique is kept
-    only from its first missing edge in column order, so it appears once
-    however many missing edges it contains.
-    """
-    st = graph.structure
-    ng = graph.indexing.num_graph_edges
-    missing = _missing_by_pair(graph)
-    broken = [np.zeros((0, st.s * (st.s - 1) // 2), dtype=np.int64)]
-    for parts in combinations(range(st.r), st.s):
-        lost, gen = _block_broken(st.n, parts, missing)
-        if lost.shape[0]:
-            ids = _edge_columns(graph, parts, lost)
-            broken.append(ids[np.argmax(ids >= ng, axis=1) == gen])
-    return np.concatenate(broken)
-
-
 def enumerate_cliques(graph: MultipartiteGraph) -> CliqueList:
-    """The K_s copies of G and the broken host cliques, block by block.
+    """The K_s copies of G, block by block, and G's defect plan.
 
     On a part subset, the cliques of G are the cells of the n^s cube where
     all C(s,2) "is an edge of G" masks hold; `CliqueList.masks` builds those
-    cubes on demand, so only the broken cliques are built here.
+    cubes on demand, so only the defect plan is built here.
     """
-    return CliqueList(broken=broken_cliques(graph), graph=graph)
+    return CliqueList(plan=defect_plan(graph), graph=graph)
 
 
 def _edge_sums(v: np.ndarray, inc: np.ndarray) -> np.ndarray:
@@ -238,20 +194,19 @@ def apply_mg(y: np.ndarray, cliques: CliqueList, num_graph_edges: int) -> np.nda
     return _clique_sums(cliques.incidence, y, num_graph_edges)[:num_graph_edges]
 
 
-def apply_delta(z: np.ndarray, graph: MultipartiteGraph,
-                cliques: CliqueList | np.ndarray, eta=None) -> np.ndarray:
-    """Defect operator on a full host vector; missing-edge rows are zero.
+def apply_delta(z: np.ndarray, plan: DefectPlan, eta=None) -> np.ndarray:
+    """Defect operator of the plan's graph on a host vector; missing-edge rows are zero.
 
     The host cliques split into those of G and the broken ones B, so on the
-    E(G) rows M_G - M_Gamma = -(W_B W_B^T): the sum over the broken cliques.
-    `cliques` is G's clique list or only its `broken` incidence. With an eta
-    shift, which cancels on the E(G) x E(G) block, the E_2 block against the
-    missing edges adds -eta E_2[G, miss] applied to z restricted to them.
+    E(G) rows M_G - M_Gamma = -(W_B W_B^T), which `plan.broken_sums` applies
+    without listing B. With an eta shift, which cancels on the E(G) x E(G)
+    block, the E_2 block against the missing edges adds -eta E_2[G, miss]
+    applied to z restricted to them.
     """
-    broken = cliques.broken if isinstance(cliques, CliqueList) else cliques
+    graph = plan.graph
     ng = graph.indexing.num_graph_edges
     out = np.zeros_like(z)
-    out[:ng] = -_clique_sums(broken, z, z.size)[:ng]
+    out[:ng] = -plan.broken_sums(z)
     if eta is not None:
         zhat = np.zeros_like(z)
         zhat[ng:] = z[ng:]
@@ -300,21 +255,22 @@ def neumann_solve(graph: MultipartiteGraph, cliques: CliqueList | None = None,
     regime bounds by 1/2. With z' = Minv(1 - Delta z) the residual of z' is
     Delta (z' - z), so one iteration costs one Minv and one Delta apply; the
     true residual of the block system is confirmed before stopping.
-    Without `cliques`, only the broken cliques are built. The report gets
+    The Delta applies use the defect plan of `cliques`; without `cliques`,
+    only that plan is built. The report gets
     the residual of every iteration and, on convergence, the least entry and
     the negative count of y = z on E(G).
     """
     st = graph.structure
     if report is None:
         report = SolveReport()
-    broken = cliques.broken if cliques is not None else broken_cliques(graph)
+    plan = cliques.plan if cliques is not None else defect_plan(graph)
     if eta is None and st.r < st.s + 2:
         raise SolveError("host operator singular at r = s+1; use the eta path")
     if eta is not None:
         report.eta = float(eta)
     vec = lambda v: EdgeVector(graph.indexing, v)
     minv = lambda v: apply_mgamma_inverse(vec(v), eta)
-    delta = lambda v: apply_delta(v, graph, broken, eta)
+    delta = lambda v: apply_delta(v, plan, eta)
     mfull = lambda v: apply_mgamma(vec(v), eta)
 
     m = graph.indexing.num_edges
@@ -649,7 +605,7 @@ def decompose(graph: MultipartiteGraph, tol: float = 1e-10, max_iter: int = 200,
     cliques = enumerate_cliques(graph)
     report.num_edges = graph.indexing.num_graph_edges
     report.num_missing = len(graph.missing)
-    report.num_broken = len(cliques.broken)
+    report.num_broken = cliques.plan.num_broken
     report.num_cliques = len(cliques)
     report.timings["enumerate"] = time.perf_counter() - t1
 

@@ -94,6 +94,40 @@ class TestInputExcludesParameters:
         assert capsys.readouterr().out == from_flags
 
 
+class TestSeedNeedsDefects:
+    """Without defects the graph is complete and draws nothing, so --seed is
+    refused, not ignored; an explicit --seed 0 counts as given."""
+
+    @pytest.mark.parametrize("command", ["gen", "check", "decompose", "bench"])
+    @pytest.mark.parametrize("defects", [[], ["--defects", "0"]])
+    @pytest.mark.parametrize("seed", ["7", "0"])
+    def test_seed_without_defects_is_refused(self, tmp_path, capsys, command,
+                                             defects, seed):
+        sizes = ["--n-values", "2"] if command == "bench" else ["-n", "2"]
+        out = tmp_path / "out.json"
+        assert run([command, "-r", "5", "-s", "3", *sizes, *defects,
+                    "--seed", seed, "--output", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        assert "error:" in captured.err and "--seed" in captured.err
+
+    @pytest.mark.parametrize("command", ["gen", "check", "decompose"])
+    @pytest.mark.parametrize("defects", [[], ["--defects", "0"]])
+    def test_no_seed_builds_the_complete_graph(self, tmp_path, command, defects):
+        out = tmp_path / "out.json"
+        assert run([command, "-r", "5", "-s", "3", "-n", "2", *defects,
+                    "--output", str(out)]) == EXIT_OK
+        if command == "gen":
+            assert json.loads(out.read_text())["missing_edges"] == []
+
+    def test_seed_with_defects_draws_the_graph(self, tmp_path):
+        paths = [tmp_path / f"{seed}.json" for seed in ("0", "1")]
+        for seed, path in zip(("0", "1"), paths):
+            assert run(["gen", "-r", "5", "-s", "3", "-n", "8", "--defects", "4",
+                        "--seed", seed, "--output", str(path)]) == EXIT_OK
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
 class TestCheck:
     def test_admissible_graph_exits_zero(self, graph_file, capsys):
         assert run(["check", "--input", str(graph_file)]) == EXIT_OK

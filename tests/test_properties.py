@@ -9,6 +9,7 @@ fixed by the hypothesis profile in conftest.py.
 import io
 import json
 from contextlib import redirect_stdout
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from hypothesis import strategies as st
 from fracdecomp import cli, oracle
 from fracdecomp.graph_core import (
     MultipartiteGraph,
+    binom,
     check_admissible,
     generate_admissible_instance,
     make_complete,
 )
+from fracdecomp.defect import defect_plan
 from fracdecomp.solver import SolveError, apply_delta, decompose, enumerate_cliques
 from fracdecomp.spectral import eta_star
 
@@ -49,7 +52,7 @@ def test_cliques_match_exhaustive_search(g):
 def test_delta_matches_dense(g, seed):
     z = np.random.default_rng(seed).standard_normal(g.structure.num_edges)
     cl = enumerate_cliques(g)
-    assert np.abs(apply_delta(z, g, cl) - oracle.dense_delta(g) @ z).max() < 1e-9
+    assert np.abs(apply_delta(z, cl.plan) - oracle.dense_delta(g) @ z).max() < 1e-9
 
 
 @given(defected_graphs(), st.integers(0, 2 ** 32 - 1))
@@ -58,7 +61,62 @@ def test_delta_eta_matches_dense(g, seed):
     z = np.random.default_rng(seed).standard_normal(g.structure.num_edges)
     cl = enumerate_cliques(g)
     dm = oracle.dense_delta(g, eta=float(eta))
-    assert np.abs(apply_delta(z, g, cl, eta) - dm @ z).max() < 1e-9
+    assert np.abs(apply_delta(z, cl.plan, eta) - dm @ z).max() < 1e-9
+
+
+@st.composite
+def clustered_graphs(draw):
+    """A host with 3 <= s <= 5 and r in {s+1, s+2}, minus 2 edges of one host
+    clique, 3 edges of another and random edges of neither.
+
+    The two cliques use vertex 0 and vertex 1 of their parts, so they share
+    no edge: the first has exactly 2 missing edges and the second exactly 3.
+    Returns the graph and the two cliques.
+    """
+    s = draw(st.integers(3, 5))
+    r = draw(st.integers(s + 1, s + 2))
+    n = draw(st.integers(2, 3 if s < 5 else 2))
+    host = make_complete(r, s, n)
+    cliques, lost = [], []
+    for vertex, size in ((0, 2), (1, 3)):
+        parts = sorted(draw(st.lists(st.integers(0, r - 1), min_size=s, max_size=s,
+                                     unique=True)))
+        clique = [(p, vertex) for p in parts]
+        edges = list(combinations(clique, 2))
+        cliques.append(clique)
+        lost += draw(st.lists(st.sampled_from(edges), min_size=size, max_size=size,
+                              unique=True))
+    kept = {e for clique in cliques for e in combinations(clique, 2)}
+    m = host.structure.num_edges
+    ids = draw(st.lists(st.integers(0, m - 1), unique=True, max_size=8))
+    lost += [e for e in map(host.indexing.edge, ids) if e not in kept]
+    return host.delete_edges(lost), cliques
+
+
+def _lost(g, clique):
+    return sum(not g.has_edge(u, w) for u, w in combinations(clique, 2))
+
+
+@given(clustered_graphs(), st.integers(0, 2 ** 32 - 1))
+def test_implicit_delta_matches_dense_on_multiply_broken_cliques(case, seed):
+    g, cliques = case
+    assert [_lost(g, clique) for clique in cliques] == [2, 3]
+    shape = g.structure
+    eta = eta_star(shape.s, shape.n) if shape.r == shape.s + 1 else None
+    z = np.random.default_rng(seed).standard_normal(shape.num_edges)
+    dm = oracle.dense_delta(g, eta=None if eta is None else float(eta))
+    assert np.abs(apply_delta(z, defect_plan(g), eta) - dm @ z).max() < 1e-9
+
+
+@given(st.one_of(defected_graphs(max_s=5), clustered_graphs().map(lambda case: case[0])))
+def test_clique_counts_without_a_mask_pass(g):
+    shape = g.structure
+    cl = enumerate_cliques(g)
+    in_masks = sum(int(np.count_nonzero(mask)) for _, mask in cl.masks())
+    brute = len(list(oracle.brute_cliques(g)))
+    assert len(cl) == in_masks == brute
+    assert cl.plan.num_broken == len(oracle.broken_cliques(g)) \
+        == binom(shape.r, shape.s) * shape.n ** shape.s - brute
 
 
 @given(defected_graphs(max_s=5))

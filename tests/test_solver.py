@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fracdecomp import oracle, solver
+from fracdecomp.defect import defect_plan
 from fracdecomp.graph_core import (
     generate_admissible_instance,
     make_complete,
@@ -76,7 +77,7 @@ class TestBrokenCliques:
     def test_each_broken_clique_once(self):
         g = make_complete(5, 3, 3).delete_edges(SHARED)
         cl = enumerate_cliques(g)
-        got = sorted(tuple(sorted(row)) for row in cl.broken.tolist())
+        got = sorted(tuple(sorted(row)) for row in oracle.broken_cliques(g).tolist())
         assert got == _host_cliques_through_missing(g)
         assert len(cl) + len(got) == 10 * 27  # C(5,3) n^3 host triangles
 
@@ -84,11 +85,11 @@ class TestBrokenCliques:
         # every K_4 inside a deleted transversal K_5 has six missing edges
         g = generate_admissible_instance(5, 4, 3, 2, seed=1)
         cl = enumerate_cliques(g)
-        got = sorted(tuple(sorted(row)) for row in cl.broken.tolist())
+        got = sorted(tuple(sorted(row)) for row in oracle.broken_cliques(g).tolist())
         assert got == _host_cliques_through_missing(g)
 
     def test_complete_host_has_none(self):
-        assert enumerate_cliques(make_complete(5, 3, 2)).broken.shape == (0, 3)
+        assert oracle.broken_cliques(make_complete(5, 3, 2)).shape == (0, 3)
 
 
 class TestApplyMg:
@@ -124,7 +125,7 @@ class TestApplyDelta:
         cl = enumerate_cliques(g)
         rng = np.random.default_rng(1)
         z = rng.standard_normal(g.structure.num_edges)
-        assert np.abs(apply_delta(z, g, cl)).max() < 1e-10
+        assert np.abs(apply_delta(z, cl.plan)).max() < 1e-10
 
     def test_matches_dense(self):
         g = generate_admissible_instance(5, 3, 4, 3, seed=2)
@@ -132,7 +133,7 @@ class TestApplyDelta:
         dm = oracle.dense_delta(g)
         rng = np.random.default_rng(3)
         z = rng.standard_normal(g.structure.num_edges)
-        assert np.abs(apply_delta(z, g, cl) - dm @ z).max() < 1e-9
+        assert np.abs(apply_delta(z, cl.plan) - dm @ z).max() < 1e-9
 
     def test_eta_variant_matches_dense(self):
         g = generate_admissible_instance(4, 3, 4, 1, seed=4)
@@ -141,7 +142,7 @@ class TestApplyDelta:
         dm = oracle.dense_delta(g, eta=float(eta))
         rng = np.random.default_rng(5)
         z = rng.standard_normal(g.structure.num_edges)
-        assert np.abs(apply_delta(z, g, cl, eta) - dm @ z).max() < 1e-9
+        assert np.abs(apply_delta(z, cl.plan, eta) - dm @ z).max() < 1e-9
 
     def test_eta_variant_equals_plain_on_graph_support(self):
         g = generate_admissible_instance(4, 3, 4, 1, seed=6)
@@ -149,8 +150,8 @@ class TestApplyDelta:
         ng = g.indexing.num_graph_edges
         z = np.zeros(g.structure.num_edges)
         z[:ng] = np.random.default_rng(7).standard_normal(ng)
-        plain = apply_delta(z, g, cl)
-        shifted = apply_delta(z, g, cl, eta_star(3, 4))
+        plain = apply_delta(z, cl.plan)
+        shifted = apply_delta(z, cl.plan, eta_star(3, 4))
         assert np.abs(plain - shifted).max() < 1e-10
 
     def test_shared_broken_clique_matches_dense(self):
@@ -158,7 +159,7 @@ class TestApplyDelta:
         cl = enumerate_cliques(g)
         dm = oracle.dense_delta(g)
         z = np.random.default_rng(10).standard_normal(g.structure.num_edges)
-        assert np.abs(apply_delta(z, g, cl) - dm @ z).max() < 1e-9
+        assert np.abs(apply_delta(z, cl.plan) - dm @ z).max() < 1e-9
 
     def test_shared_broken_clique_eta_matches_dense(self):
         g = make_complete(4, 3, 3).delete_edges(SHARED)
@@ -166,13 +167,13 @@ class TestApplyDelta:
         cl = enumerate_cliques(g)
         dm = oracle.dense_delta(g, eta=float(eta))
         z = np.random.default_rng(11).standard_normal(g.structure.num_edges)
-        assert np.abs(apply_delta(z, g, cl, eta) - dm @ z).max() < 1e-9
+        assert np.abs(apply_delta(z, cl.plan, eta) - dm @ z).max() < 1e-9
 
     def test_missing_rows_are_zero(self):
         g = generate_admissible_instance(5, 3, 4, 3, seed=8)
         cl = enumerate_cliques(g)
         z = np.random.default_rng(9).standard_normal(g.structure.num_edges)
-        out = apply_delta(z, g, cl)
+        out = apply_delta(z, cl.plan)
         assert np.abs(out[g.indexing.num_graph_edges:]).max() == 0.0
 
 
@@ -219,9 +220,59 @@ class TestNeumannSolve:
         got, _ = neumann_solve(g, eta=eta)
         assert np.array_equal(got, want)
 
+    def test_memory_scales_with_edges_and_multi_list(self):
+        # (6, 4, 48, 24): the explicit list of broken host cliques holds
+        # 331,237 x 6 ids, about 16 MB; the solve keeps O(|E|) floats, the
+        # link of the missing edges and the cliques with two or more of them
+        g = generate_admissible_instance(6, 4, 48, 24, seed=1)
+        g.indexing  # built once per graph, before the measurement
+        plan = defect_plan(g)
+        bound = (12 * 8 * g.structure.num_edges
+                 + 8 * (plan.multi.nbytes + plan.scatter.nbytes) + 2 ** 20)
+        tracemalloc.start()
+        try:
+            _, rep = neumann_solve(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak <= bound < 8 * len(oracle.broken_cliques(g)) * 6
+
     def test_plain_path_rejected_at_r_equals_s_plus_1(self):
         with pytest.raises(SolveError):
             neumann_solve(make_complete(4, 3, 2))
+
+
+class TestDefectPlan:
+    @pytest.mark.parametrize("r,s,n,defects,cap", [
+        (5, 3, 16, 400, 4),  # many defects per vertex: cliques with 2 and 3
+        (5, 4, 12, 6, 1),  # eta path: K_4 copies with 2 to 6 missing edges
+        (6, 4, 8, 20, 2),
+        (7, 5, 6, 10, 1),
+    ])
+    def test_broken_sums_match_the_listed_cliques(self, r, s, n, defects, cap):
+        g = generate_admissible_instance(r, s, n, defects, seed=1, per_part_cap=cap)
+        ng = g.indexing.num_graph_edges
+        plan = defect_plan(g)
+        z = np.random.default_rng(2).standard_normal(g.structure.num_edges)
+        want = oracle.broken_sums(g, z)[:ng]
+        assert np.abs(plan.broken_sums(z) - want).max() < 1e-12 * np.abs(want).max()
+        assert plan.num_broken == len(oracle.broken_cliques(g))
+        assert set(plan.excess.tolist()) >= {1, 2}  # mu = 2 and mu = 3
+
+    @pytest.mark.parametrize("g,eta", [
+        (generate_admissible_instance(5, 3, 8, 4, seed=1), None),
+        (generate_admissible_instance(6, 4, 6, 10, seed=0, per_part_cap=2), None),
+        (generate_admissible_instance(7, 5, 4, 6, seed=1), None),
+        (generate_admissible_instance(5, 4, 4, 1, seed=2), eta_star(4, 4)),
+    ])
+    def test_solve_never_lists_broken_cliques(self, monkeypatch, g, eta):
+        def refuse(*args):
+            raise AssertionError("the broken host cliques were listed")
+        for name in ("broken_cliques", "_block_broken", "broken_sums"):
+            monkeypatch.setattr(oracle, name, refuse)
+        d, rep = decompose(g, eta=eta)
+        assert rep.verified and rep.num_broken > 0 and len(d.cliques) > 0
 
 
 class TestWeights:
