@@ -191,28 +191,34 @@ def defect_plan(graph: MultipartiteGraph) -> DefectPlan:
     g_parts = host[pair_of[starts]]
     g_others = np.nonzero(_avoids(g_parts, np.arange(r)[:, None]))[1].reshape(-1, r - 2)
 
-    # the edges from an end u of a missing edge to part t: lexicographic ids
-    # from those to (t, 0), in steps of 1 if u's part is below t, else n
     i1, i2 = np.divmod(cell, n)
     u = np.stack([g_parts[group, 0] * n + i1, g_parts[group, 1] * n + i2])
+    multi, excess = _multi_defect(graph, ids, u)
+
+    # link and multi are filled into one array, the flat ids that
+    # broken_sums adds onto. The edges from an end u of a missing edge to
+    # part t: lexicographic ids from those to (t, 0), in steps of 1 if u's
+    # part is below t, else n
     others = g_others[group]
-    step = np.where(u[:, :, None] // n < others, 1, n)
-    link = ids.pos.take(ids.lex(u[:, :, None], others * n)[..., None]
-                        + step[..., None] * np.arange(n))
+    scatter = np.empty(u.size * (r - 2) * n + multi.size, dtype=np.int64)
+    link = scatter[:u.size * (r - 2) * n].reshape(*u.shape, r - 2, n)
+    np.multiply(np.where(u[:, :, None] // n < others, 1, n)[..., None], np.arange(n),
+                out=link)
+    link += ids.lex(u[:, :, None], others * n)[..., None]
+    link[...] = ids.pos.take(link)
+    scatter[link.size:] = multi.ravel()
 
     disjoint = _avoids(g_parts, host).astype(float)
     at_part = np.zeros((starts.size, r))
     at_part[np.arange(starts.size)[:, None], g_parts] = 1.0
     trios = np.concatenate([np.repeat(g_parts[:, None], r - 2, axis=1),
                             g_others[:, :, None]], axis=2)
-    multi, excess = _multi_defect(graph, ids, u)
-    scatter = np.concatenate([link.ravel(), multi.ravel()])
     return DefectPlan(
         graph=graph,
         through=tuple(_through(r, s, n, j) for j in range(7)),
         pairs=host, group=group, starts=starts,
         group_parts=g_parts, group_others=g_others,
-        link=scatter[:link.size].reshape(link.shape), disjoint=disjoint,
+        link=link, disjoint=disjoint,
         sizes=count @ disjoint,
         weighted=disjoint.T @ (count[:, None] * at_part),
         avoid3=_avoids(trios.reshape(-1, 3), host).astype(float),
