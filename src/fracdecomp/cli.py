@@ -119,40 +119,44 @@ def _write_weights(path, decomp: solver.FractionalDecomposition, n: int,
     """Write the weights file, or print it when there is no path.
 
     The text is json.dumps of the list of {"clique": [[part, index], ...],
-    "weight": w} records. Each chunk of up to WEIGHTS_CHUNK records is one
-    `%` format call over the (k, s+1) object cells of its records, each
-    taken from a per-block table by index: the block's vertex strings, and
-    the repr of each distinct weight, which is json's float text. Weights
-    are told apart by bit pattern, so -0.0 and 0.0 keep their own texts, and
-    a block whose weights repeat formats each of them once. So no record
-    object and no whole-file string exists at any time, and the blocks are
-    built one at a time from the implicit decomposition.
+    "weight": w} records. Each record is the join of s + 1 texts, each taken
+    from a per-block table by index: the VERTEX text of its j-th vertex with
+    the separator before it, ', {"clique": [' for j = 0 and ', ' otherwise,
+    and the text of its weight with '], "weight": ' before it and '}' after
+    it. The weight texts hold the repr of each distinct weight, which is
+    json's float text. Weights are told apart by bit pattern, so -0.0 and 0.0
+    keep their own texts, and a block whose weights repeat formats each of
+    them once. A chunk of up to WEIGHTS_CHUNK records is one join, and the
+    first record's leading ', ' becomes '['. So no record object and no
+    whole-file string exists at any time, and the blocks are built one at a
+    time from the implicit decomposition.
     """
     with open(path, "w") if path else nullcontext(sys.stdout) as fh:
-        sep = "["
+        first = True
         for parts, index, weights in decomp.blocks():
             if not include_zero:
                 keep = weights != 0.0
                 index, weights = index[keep], weights[keep]
             s = len(parts)
-            # the string of vertex (parts[j], i) at j * n + i
-            vertices = np.array([VERTEX % (p, i) for p in parts for i in range(n)],
-                                dtype=object)
+            # the text of vertex (parts[j], i) and its separator at j * n + i
+            vertices = np.array(
+                [(", " if j else ', {"clique": [') + VERTEX % (p, i)
+                 for j, p in enumerate(parts) for i in range(n)], dtype=object)
             # the text of weights[k] is texts[which[k]], one repr per bit pattern
             bits, which = np.unique(weights.view(np.uint64), return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
+            texts = np.array(['], "weight": ' + text + "}" for text in
+                              map(repr, bits.view(np.float64).tolist())],
                              dtype=object)
-            record = _record_format(s)
             for start in range(0, len(weights), WEIGHTS_CHUNK):
                 rows = index[start:start + WEIGHTS_CHUNK]
                 cells = np.empty((len(rows), s + 1), dtype=object)
                 cells[:, :s] = vertices[rows + n * np.arange(s)]
                 cells[:, s] = texts[which[start:start + WEIGHTS_CHUNK]]
-                fh.write(sep + ", ".join([record] * len(rows))
-                         % tuple(cells.ravel().tolist()))
-                sep = ", "
+                chunk = "".join(cells.ravel().tolist())
+                fh.write("[" + chunk[2:] if first else chunk)
+                first = False
             del index, weights, which  # before the next block is built
-        fh.write("[]" if sep == "[" else "]")
+        fh.write("[]" if first else "]")
         if not path:
             fh.write("\n")
 
@@ -254,9 +258,10 @@ def _scan_weights(data: bytes, s: int) -> tuple[np.ndarray, np.ndarray] | None:
     them. In the text, every run must sit where the template's does and
     every other byte must be the template's. Vertex entries must be plain
     JSON integers of at most 18 digits, read by digit arithmetic; only the
-    weights go through json.loads, so they are json's own floats. Returns
-    None for any other text, which is then read as JSON. Raises GraphError,
-    as `_read_weights` does, if a weight is a number numpy cannot hold.
+    weights go through json.loads, each distinct text once
+    (`_scan_weight_texts`), so they are json's own floats. Returns None for
+    any other text, which is then read as JSON. Raises GraphError, as
+    `_read_weights` does, if a weight is a number numpy cannot hold.
     """
     if data in (b"[]", b"[]\n"):
         return np.zeros((0, s, 2), dtype=np.int64), np.zeros(0)
@@ -308,32 +313,82 @@ def _scan_weights(data: bytes, s: int) -> tuple[np.ndarray, np.ndarray] | None:
     longest = int(vertex_lens.max())
     if longest > 18 or ((text[vertex_starts] == ord("0")) & (vertex_lens > 1)).any():
         return None  # a leading zero is not JSON; longer numbers are left to json
-    vertices = np.zeros(vertex_starts.shape, dtype=np.int64)
-    for d in range(longest):
-        more = vertex_lens > d
-        digit = text.take(vertex_starts + d, mode="clip") - np.uint8(ord("0"))
-        if ((digit > 9) & more).any():
+    # the digits from each entry's last one back: the d-th from last, times
+    # 10 ** d, of the entries that have more than d digits
+    last = (vertex_starts + vertex_lens - 1).reshape(-1)
+    vertex_lens = vertex_lens.reshape(-1)
+    del vertex_starts
+    vertices = text[last] - np.uint8(ord("0"))
+    if (vertices > 9).any():
+        return None
+    vertices = vertices.astype(np.int64)
+    for d in range(1, longest):
+        some = np.flatnonzero(vertex_lens > d)
+        digit = text[last[some] - d] - np.uint8(ord("0"))
+        if (digit > 9).any():
             return None
-        np.multiply(vertices, 10, out=vertices, where=more)
-        np.add(vertices, digit, out=vertices, where=more)
-    del vertex_starts, vertex_lens
+        vertices[some] += digit.astype(np.int64) * 10 ** d
+    del last, vertex_lens
 
-    # the weights, each with the byte after it turned into a comma: gathered
-    # by the cumulative sum of a 1 per byte and a jump to each next weight
-    spans = weight_lens + 1
-    ends = np.cumsum(spans, dtype=spans.dtype)
-    cells = np.ones(ends[-1], dtype=ends.dtype)
-    cells[0] = weight_starts[0]
-    cells[ends[:-1]] = weight_starts[1:] - (weight_starts[:-1] + weight_lens[:-1])
-    weights = text[np.cumsum(cells, out=cells)]
-    del cells
-    weights[ends - 1] = ord(",")
-    weights[-1] = ord("]")
+    weights = _scan_weight_texts(data, weight_starts, weight_lens)
+    if weights is None:
+        return None
+    return vertices.reshape(k, s, 2), weights
+
+
+WEIGHT_WORDS = 3  # 8-byte words of the longest float repr, -1.2345678901234567e-308
+# _LOW_BYTES[v] keeps the low v bytes of a little-endian 8-byte word
+_LOW_BYTES = np.array([(1 << 8 * v) - 1 for v in range(9)], dtype=np.uint64)
+
+
+def _row_hashes(words: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each row of a (k, m) uint64 array.
+
+    Equal rows hash alike; rows that differ may too, which the caller checks.
+    """
+    hashes = np.zeros(len(words), dtype=np.uint64)
+    for column in words.T:
+        hashes *= np.uint64(0x9E3779B97F4A7C15)
+        hashes ^= column
+    return hashes
+
+
+def _scan_weight_texts(data: bytes, starts: np.ndarray,
+                       lens: np.ndarray) -> np.ndarray | None:
+    """The (K,) floats of the weight texts data[starts[k]:starts[k] + lens[k]].
+
+    Each text is read as WEIGHT_WORDS little-endian 8-byte words, the bytes
+    past its end zeroed; no number has a zero byte, so two texts are equal
+    exactly when their words are. The rows of words are told apart by hash,
+    every row must equal its hash's first row exactly, and json.loads reads
+    each distinct text once, so the weights are json's own floats under
+    JSON's number grammar. Returns None if two texts share a hash, if a text
+    is longer than the words or if json rejects one. Raises GraphError, as
+    `_read_weights` does, if a weight is a number numpy cannot hold.
+    """
+    if int(lens.max()) > 8 * WEIGHT_WORDS:
+        return None
+    # the 8 bytes from each offset of data as one word; a word that would
+    # run past the end is the last word shifted down by the difference
+    word_at = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    words = np.empty((len(starts), WEIGHT_WORDS), dtype=np.uint64)
+    for c in range(WEIGHT_WORDS):
+        offsets = starts + 8 * c
+        inside = np.minimum(offsets, len(word_at) - 1)
+        words[:, c] = word_at[inside] >> (8 * (offsets - inside)).astype(np.uint64)
+        words[:, c] &= _LOW_BYTES[np.clip(lens - 8 * c, 0, 8)]
+    _, first, which = np.unique(_row_hashes(words), return_index=True,
+                                return_inverse=True)
+    if (words[first][which] != words).any():
+        return None
+    del words
+    distinct = zip(starts[first].tolist(), lens[first].tolist())
     try:
-        values = json.loads(b"[" + weights.tobytes())
+        values = json.loads(b"[" + b",".join(
+            [data[start:start + size] for start, size in distinct]) + b"]")
     except ValueError:
         return None
-    return vertices.reshape(k, s, 2), _weight_array(values)
+    return _weight_array(values)[which]
 
 
 @contextmanager
@@ -527,11 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen", help="generate an admissible instance")
     add_common(sp, graph_input=False)
-    sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("check", help="print the admissibility report")
     add_common(sp)
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("decompose", help="solve and write clique weights")
     add_common(sp)
@@ -540,19 +593,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iter", type=_max_iter, default=200)
     sp.add_argument("--eta", type=_eta, default=None)
     sp.add_argument("--include-zero-weights", action="store_true")
-    sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("verify", help="recheck a weights file against a graph")
     sp.add_argument("--input", required=True)
     sp.add_argument("--weights", required=True)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("tables", help="dump intersection numbers and eigenmatrices")
     sp.add_argument("-r", type=int, required=True)
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("spectrum", help="dump the closed-form spectrum table")
     sp.add_argument("-r", type=int, required=True)
@@ -560,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--eta", type=_eta, default=None)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("xval", help="dense-oracle cross-validation grid")
     sp.add_argument("--r-values", type=int, nargs="+", default=[4, 5, 6])
@@ -568,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-values", type=int, nargs="+", default=[1, 2, 3])
     sp.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_SIZE_CAP)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_xval)
 
     sp = sub.add_parser("bench", help="time matrix-free vs dense solves")
     sp.add_argument("-r", type=int, required=True)
@@ -580,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iter", type=_max_iter, default=200)
     sp.add_argument("--oracle-cap", type=int, default=oracle.DEFAULT_SIZE_CAP)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_bench)
     return p
 
 
@@ -593,14 +640,25 @@ def _solve_exit_code(exc: solver.SolveError) -> int:
     return EXIT_INADMISSIBLE
 
 
+_parser = None  # build_parser(), built by the first run
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; its exit code.
+
+    The parser is built once and kept. It names the command, and the
+    command's function is looked up on the module at each call, so that
+    whatever replaced a `cmd_*` attribute in the meantime is what runs.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except solver.SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _solve_exit_code(exc)

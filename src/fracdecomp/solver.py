@@ -27,8 +27,8 @@ from .graph_core import (
     threshold_c,
 )
 from .defect import DefectPlan, defect_plan
-from .scheme import EdgeVector, apply_idempotent
-from .spectral import apply_mgamma, apply_mgamma_inverse, eta_star
+from .scheme import EdgeVector
+from .spectral import apply_eta_shift, apply_mgamma, apply_mgamma_inverse, eta_star
 
 
 class SolveError(GraphError):
@@ -210,8 +210,7 @@ def apply_delta(z: np.ndarray, plan: DefectPlan, eta=None) -> np.ndarray:
     if eta is not None:
         zhat = np.zeros_like(z)
         zhat[ng:] = z[ng:]
-        e2_tail = apply_idempotent(2, EdgeVector(graph.indexing, zhat))
-        out[:ng] -= float(eta) * e2_tail[:ng]
+        out[:ng] -= apply_eta_shift(EdgeVector(graph.indexing, zhat), eta)[:ng]
     return out
 
 

@@ -126,6 +126,22 @@ def _inverse_element(r: int, s: int, n: int, eta) -> SchemeElement:
     return _a_basis(r, n, [1 / lam for lam in tab.eigenvalues])
 
 
+@lru_cache(maxsize=64)
+def _shift_element(r: int, n: int, eta) -> SchemeElement:
+    """eta E_2 in the A-basis, each coefficient the exact product rounded
+    to a float once. Cached like `_host_element`, so that an apply converts
+    no Fraction."""
+    em = eigenmatrices(r, n)
+    return SchemeElement(basis="A", coeffs=tuple(float(eta * d) for d in em.D[2]))
+
+
+def apply_eta_shift(vec: EdgeVector, eta) -> np.ndarray:
+    """eta E_2 applied to the vector, E_2 being the idempotent that the eta
+    shift of the host operator (r = s+1) adds."""
+    st = vec.edges.structure
+    return apply_scheme_element(_shift_element(st.r, st.n, eta), vec)
+
+
 def apply_mgamma(vec: EdgeVector, eta=None) -> np.ndarray:
     """M applied to the vector, plus eta E_2 when eta is given (r = s+1 only)."""
     st = vec.edges.structure

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -670,6 +671,14 @@ class TestScanWeights:
         cli._write_weights(None, decomp, g.structure.n, False)
         self._assert_same(capsys.readouterr().out, g.structure.s)
 
+    def test_vertex_entries_of_every_length(self):
+        """Entries of 1 to 18 digits, whose place values overflow a uint8."""
+        entries = [0, 9, 10, 99, 100, 399, 999, 4096, 98765, 10 ** 17 + 3,
+                   999999999999999999]
+        text = json.dumps([{"clique": [[i, j], [j, i], [i, i]], "weight": 0.5}
+                           for i in entries for j in entries])
+        self._assert_same(text, 3)
+
     @pytest.mark.parametrize("text", ["[]", "[]\n"])
     def test_empty_list(self, text):
         self._assert_same(text, 3)
@@ -682,6 +691,122 @@ class TestScanWeights:
     ])
     def test_other_text_is_left_to_json(self, text):
         assert cli._scan_weights(text.encode(), 3) is None
+
+
+class TestDistinctWeightTexts:
+    """The scanner's weights: each distinct text hashed, checked and read
+    by json once."""
+
+    @pytest.fixture
+    def written(self, graph_file, tmp_path):
+        weights = tmp_path / "weights.json"
+        assert run(["decompose", "--input", str(graph_file),
+                    "--output", str(weights),
+                    "--report", str(tmp_path / "r.json")]) == EXIT_OK
+        args = ["verify", "--input", str(graph_file), "--weights", str(weights)]
+        return weights, args
+
+    def test_shared_hash_leaves_the_file_to_json(self, written, monkeypatch,
+                                                 capsys):
+        weights, args = written
+        data = weights.read_bytes()
+        assert len({rec["weight"] for rec in json.loads(data)}) > 1
+        assert run(args) == EXIT_OK
+        scanned = capsys.readouterr()
+        # every text hashes alike, so two different texts share a hash
+        monkeypatch.setattr(cli, "_row_hashes",
+                            lambda words: np.zeros(len(words), dtype=np.uint64))
+        assert cli._scan_weights(data, 3) is None
+        real_read, read = cli._read_weights, []
+
+        def spy(records, s):
+            read.append(len(records))
+            return real_read(records, s)
+        monkeypatch.setattr(cli, "_read_weights", spy)
+        assert run(args) == EXIT_OK
+        assert capsys.readouterr() == scanned
+        assert read == [len(json.loads(data))]
+
+    @pytest.mark.parametrize("every", [False, True])
+    @pytest.mark.parametrize("bad", [b"1.", b".5", b"+1", b"01", b"1e", b"-", b"1e5e"])
+    def test_non_json_weight_text_exits_one(self, written, capsys, bad, every):
+        """A text of number bytes that is no JSON number, in place of the
+        first record's weight text: in that record, or in every record
+        whose weight has that text."""
+        weights, args = written
+        data = weights.read_bytes()
+        start = data.index(b'"weight": ')
+        old = data[start:data.index(b"}", start) + 1]
+        edited = data.replace(old, b'"weight": ' + bad + b"}", -1 if every else 1)
+        assert edited.count(bad + b"}") == (data.count(old) if every else 1)
+        weights.write_bytes(edited)
+        assert cli._scan_weights(edited, 3) is None
+        assert run(args) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+
+class TestParser:
+    """The argparse tree is built by the first run and kept; each run looks
+    its command up on the module."""
+
+    def test_built_once(self, graph_file, monkeypatch, capsys):
+        real_build, built = cli.build_parser, []
+
+        def counting_build():
+            built.append(1)
+            return real_build()
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for _ in range(2):
+            assert run(["check", "--input", str(graph_file)]) == EXIT_OK
+        assert run(["nonsense"]) == EXIT_USAGE
+        assert run(["check", "--input", str(graph_file)]) == EXIT_OK
+        assert built == [1]
+
+    def test_flag_does_not_carry_over(self, graph_file, tmp_path, monkeypatch):
+        real_decompose, seen = cli.cmd_decompose, []
+
+        def spy(args):
+            seen.append(args.include_zero_weights)
+            return real_decompose(args)
+        monkeypatch.setattr(cli, "cmd_decompose", spy)
+        for flags in (["--include-zero-weights"], []):
+            assert run(["decompose", "--input", str(graph_file),
+                        "--output", str(tmp_path / "weights.json"),
+                        "--report", str(tmp_path / "r.json"), *flags]) == EXIT_OK
+        assert seen == [True, False]
+
+    def test_replaced_command_is_reached(self, graph_file, tmp_path,
+                                         monkeypatch):
+        weights = tmp_path / "weights.json"
+        assert run(["decompose", "--input", str(graph_file),
+                    "--output", str(weights),
+                    "--report", str(tmp_path / "r.json")]) == EXIT_OK
+        args = ["verify", "--input", str(graph_file), "--weights", str(weights),
+                "--output", str(tmp_path / "verify.json")]
+        assert run(args) == EXIT_OK and cli._parser is not None
+        reached = []
+
+        def stand_in(args):
+            reached.append(args.weights)
+            return EXIT_VERIFY_FAILED
+        monkeypatch.setattr(cli, "cmd_verify", stand_in)
+        assert run(args) == EXIT_VERIFY_FAILED
+        assert reached == [str(weights)]
+
+
+def test_cli_eta_weights_file_digest(tmp_path):
+    """sha256 of the weights file of the benchmark's cli_eta instance,
+    (5, 4, 12) with 6 missing edges at cap 1, seed 0, computed before the
+    writer built its records from text tables. A rewrite of the writer must
+    keep the file byte for byte."""
+    graph, weights = tmp_path / "graph.json", tmp_path / "weights.json"
+    graph.write_text(generate_admissible_instance(
+        5, 4, 12, 6, seed=0, per_part_cap=1).to_json())
+    assert run(["decompose", "--input", str(graph), "--output", str(weights),
+                "--report", str(tmp_path / "r.json")]) == EXIT_OK
+    assert hashlib.sha256(weights.read_bytes()).hexdigest() == (
+        "4db99a05b53ba83e429e1fff727e4ad8635e97f8d228f167b0e4f832796a8f90")
 
 
 class TestBench:

@@ -283,3 +283,36 @@ def test_each_distinct_weight_is_formatted_once(tmp_path, monkeypatch):
                           .view(np.uint64).tolist()))
         start += size
     assert start == len(formatted) == 9 and got == want
+
+
+@pytest.mark.parametrize("chunk", [2, 3])
+def test_scanned_weights_keep_each_records_bits(tmp_path, monkeypatch, chunk):
+    """-0.0 beside 0.0, and 0.1 + 0.2 and 1/3 each repeated across a chunk
+    boundary: every record's weight comes back with its own bits."""
+    monkeypatch.setattr(cli, "WEIGHTS_CHUNK", chunk)
+    stub = _RepeatedWeights()
+    path = tmp_path / "weights.json"
+    cli._write_weights(str(path), stub, 3, True)
+    _, weights = cli._scan_weights(path.read_bytes(), 3)
+    want = np.concatenate([np.array(w) for _, _, w in stub.BLOCKS])
+    assert weights.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert np.signbit(weights).sum() == 2
+
+
+def test_json_reads_each_distinct_weight_text_once(tmp_path, monkeypatch):
+    stub = _RepeatedWeights()
+    path = tmp_path / "weights.json"
+    cli._write_weights(str(path), stub, 3, True)
+    data = path.read_bytes()
+    texts = [rec.split(b"}")[0] for rec in data.split(b'"weight": ')[1:]]
+    real_loads, parsed = json.loads, []
+
+    def counting_loads(text, **kwargs):
+        parsed.append(real_loads(text, **kwargs))
+        return parsed[-1]
+    monkeypatch.setattr(json, "loads", counting_loads)
+    scanned = cli._scan_weights(data, 3)
+    monkeypatch.undo()
+    assert len(parsed) == 1
+    assert len(parsed[0]) == len(set(texts)) == 7 < len(texts) == 12
+    assert _same_arrays(scanned, cli._read_weights(json.loads(data), 3))

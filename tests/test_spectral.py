@@ -148,6 +148,17 @@ class TestHostOperator:
                   + float(eta) * apply_idempotent(2, EdgeVector(ed, v)))
         assert np.abs(shifted - expect).max() < 1e-12
 
+    @pytest.mark.parametrize("r,s,n", [(4, 3, 2), (5, 4, 3)])
+    def test_eta_shift_is_the_scaled_idempotent(self, r, s, n):
+        ed = make_complete(r, s, n).indexing
+        eta = eta_star(s, n)
+        v = np.random.default_rng(13).standard_normal(ed.num_edges)
+        got = spectral.apply_eta_shift(EdgeVector(ed, v), eta)
+        expect = float(eta) * apply_idempotent(2, EdgeVector(ed, v))
+        assert np.abs(got - expect).max() < 1e-12 * np.abs(expect).max()
+        assert spectral._shift_element(r, n, eta) is spectral._shift_element(r, n, eta)
+        assert all(type(c) is float for c in spectral._shift_element(r, n, eta).coeffs)
+
     def test_host_element_cached_per_key(self):
         first = spectral._host_element(5, 3, 2, None)
         assert spectral._host_element(5, 3, 2, None) is first
